@@ -33,14 +33,15 @@ const fenceVersion = 2
 // first checkpoint advances the stored epoch. If A was not actually
 // dead — just partitioned — and later tries to checkpoint at epoch e,
 // the store refuses, so a zombie owner can never clobber the successor's
-// state. The check is read-compare-write per stream; because two nodes
-// adopting the same stream at adjacent epochs can interleave the two
-// halves (old writer reads "epoch e, fine", new writer lands e+1, old
-// writer's physical write lands last), Save re-reads after writing and
-// re-asserts its payload until the stored epoch is >= its own. The
-// higher-epoch writer therefore always converges as the winner; the
-// stale writer either fails the pre-check or is silently overwritten
-// before anyone can observe its bytes at takeover.
+// state. The check is read-compare-write per stream. Two nodes adopting
+// the same stream at adjacent epochs could interleave the two halves
+// (old writer reads "epoch e, fine", new writer lands e+1 and returns,
+// old writer's physical write lands last), so over a store with stream
+// locks (MemStore, FileStore) Save holds the stream's lock from the
+// read to the write, and the stale writer either fails the check or
+// writes first and is overwritten. Save also re-reads after writing and
+// re-asserts its payload until the stored epoch is >= its own; over a
+// store without locks that narrows the race but cannot close it.
 type FencedStore struct {
 	inner  fleet.StateStore
 	epoch  atomic.Uint64
@@ -53,6 +54,14 @@ type FencedStore struct {
 // to unarbitrated local epoch minting.
 type exclusiveCreator interface {
 	CreateExclusive(name string, data []byte) (existing []byte, created bool, err error)
+}
+
+// streamLocker is the store-level primitive that makes Save's
+// read-compare-write one step: LockStream excludes every other holder
+// of the stream's lock, across every handle sharing the backing
+// storage.
+type streamLocker interface {
+	LockStream(stream string) (unlock func(), err error)
 }
 
 // fencedWriteError marks a fence refusal as permanent for the fleet's
@@ -129,10 +138,12 @@ func (s *FencedStore) AllocateEpoch(from uint64, claimant string) (uint64, error
 }
 
 // Save persists snapshot under the current epoch, refusing if the store
-// already holds a strictly newer epoch for the stream. After writing it
-// reads the fence back: if an older writer's physical write landed after
-// ours (the adjacent-epoch takeover race), the payload is re-asserted so
-// the highest epoch always wins; if a newer one did, ErrStaleEpoch.
+// already holds a strictly newer epoch for the stream. It holds the
+// stream's lock, when the store has them, from that check through the
+// write. After writing it reads the fence back: if an older writer's
+// physical write landed after ours (possible only over a store without
+// locks), the payload is re-asserted so the highest epoch always wins;
+// if a newer one did, ErrStaleEpoch.
 //
 // Equal-epoch races — two *concurrent* writers at the same epoch, which
 // arbitrated allocation rules out but a pre-arbitration store can still
@@ -142,6 +153,13 @@ func (s *FencedStore) AllocateEpoch(from uint64, claimant string) (uint64, error
 // to another within one epoch) are untouched: the tiebreak only fires
 // when another writer's bytes land *after* ours, i.e. a true interleave.
 func (s *FencedStore) Save(stream string, snapshot []byte) error {
+	if l, ok := s.inner.(streamLocker); ok {
+		unlock, err := l.LockStream(stream)
+		if err != nil {
+			return err
+		}
+		defer unlock()
+	}
 	mine := s.epoch.Load()
 	me := s.writerID()
 	if _, stored, _, ok, err := s.load(stream); err == nil && ok && stored > mine {

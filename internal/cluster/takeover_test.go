@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -56,12 +57,41 @@ func TestSuccessorSingleNode(t *testing.T) {
 // adjacent epochs — the exact shape of a takeover where the old owner
 // is still alive — over one shared store. Whatever the interleaving,
 // the store must converge to the higher epoch's payload, and the lower
-// epoch's writer must never be the final state.
+// epoch's writer must never be the final state. Over a FileStore each
+// writer has its own handle on the shared directory, as two nodes
+// would.
 func TestFencedStoreConcurrentTakeoverOneWinner(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T, round int) (a, b fleet.StateStore)
+	}{
+		{"MemStore", func(*testing.T, int) (a, b fleet.StateStore) {
+			mem := fleet.NewMemStore()
+			return mem, mem
+		}},
+		{"FileStore", func(t *testing.T, round int) (a, b fleet.StateStore) {
+			d := filepath.Join(dir, fmt.Sprint(round))
+			fa, err := fleet.NewFileStore(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb, err := fleet.NewFileStore(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fa, fb
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { concurrentTakeoverOneWinner(t, tc.open) })
+	}
+}
+
+func concurrentTakeoverOneWinner(t *testing.T, open func(t *testing.T, round int) (a, b fleet.StateStore)) {
 	for round := 0; round < 50; round++ {
-		mem := fleet.NewMemStore()
-		oldOwner := NewFencedStore(mem, 4)
-		newOwner := NewFencedStore(mem, 5)
+		a, b := open(t, round)
+		oldOwner := NewFencedStore(a, 4)
+		newOwner := NewFencedStore(b, 5)
 		oldSnap := []byte("payload-from-epoch-4")
 		newSnap := []byte("payload-from-epoch-5")
 

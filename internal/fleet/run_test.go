@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,13 +78,13 @@ func TestTrySendRunMatchesSend(t *testing.T) {
 	// Group into per-shard runs of up to 16 batches, preserving order
 	// within each shard, and hand ownership over run by run.
 	runs := make([][]Batch, shards)
-	released := 0
+	var released atomic.Int64 // release hooks run on the shard goroutines
 	flush := func(si int) {
 		if len(runs[si]) == 0 {
 			return
 		}
 		run := runs[si]
-		rej, err := f.TrySendRun(run, func() { released++ })
+		rej, err := f.TrySendRun(run, func() { released.Add(1) })
 		if err != nil || len(rej) != 0 {
 			t.Fatalf("TrySendRun: rejected=%v err=%v", rej, err)
 		}
@@ -114,7 +115,7 @@ func TestTrySendRunMatchesSend(t *testing.T) {
 		}
 	}
 	f.Close()
-	if released == 0 {
+	if released.Load() == 0 {
 		t.Fatal("run release hooks never fired")
 	}
 	for name, wp := range want.phases {

@@ -42,6 +42,8 @@ type MemStore struct {
 	mu    sync.RWMutex
 	snaps map[string][]byte
 	marks map[string][]byte // CreateExclusive markers, outside the snapshot namespace
+
+	writeMu sync.Mutex // LockStream
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -108,6 +110,17 @@ func (s *MemStore) CreateExclusive(name string, data []byte) (existing []byte, c
 	copy(cp, data)
 	s.marks[name] = cp
 	return nil, true, nil
+}
+
+// LockStream takes the stream's writer lock and returns the function
+// that releases it. It does not block Save or Load: it only excludes
+// other LockStream holders, for every handle sharing the backing
+// storage, so a caller can read, decide and write as one step against
+// every other caller that locks first. The cluster layer's epoch fence
+// is built on it. A MemStore has one lock for all its streams.
+func (s *MemStore) LockStream(string) (unlock func(), err error) {
+	s.writeMu.Lock()
+	return s.writeMu.Unlock, nil
 }
 
 // Corrupt overwrites a stored snapshot with mutated bytes (bit-flip of
@@ -322,16 +335,31 @@ func (s *FileStore) List() ([]string, error) {
 // CreateExclusive atomically creates a named marker file (see the
 // MemStore method for the contract). The marker lives beside the
 // snapshots with a ".mark" extension, so List and the recovery scan
-// never confuse it with stream state. Atomicity comes from
-// O_CREATE|O_EXCL: of any number of processes sharing the directory,
-// exactly one creates the file. The contents are informational (who
-// won); the creation itself is the arbitration, so a crash between
-// create and write leaves a won-but-anonymous marker, never a torn
-// decision.
+// never confuse it with stream state. The claimant is written and
+// fsynced to a temp file first, then hard-linked into place: link(2)
+// fails with EEXIST atomically, so of any number of processes sharing
+// the directory exactly one creates the marker, and a visible marker is
+// always complete — a loser never reads a half-written claimant. A
+// crash before the link leaves only a temp file, which the recovery
+// scan quarantines.
 func (s *FileStore) CreateExclusive(name string, data []byte) (existing []byte, created bool, err error) {
 	path := filepath.Join(s.dir, escapeStream(name)+".mark")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
+		return nil, false, fmt.Errorf("fleet: creating marker %q: %w", name, err)
+	}
+	defer os.Remove(tmp.Name())
+	_, werr := tmp.Write(data)
+	if serr := tmp.Sync(); werr == nil {
+		werr = serr
+	}
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return nil, false, fmt.Errorf("fleet: writing marker %q: %w", name, werr)
+	}
+	if err := os.Link(tmp.Name(), path); err != nil {
 		if os.IsExist(err) {
 			prev, rerr := os.ReadFile(path)
 			if rerr != nil {
@@ -341,22 +369,25 @@ func (s *FileStore) CreateExclusive(name string, data []byte) (existing []byte, 
 		}
 		return nil, false, fmt.Errorf("fleet: creating marker %q: %w", name, err)
 	}
-	_, werr := f.Write(data)
-	if serr := f.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = syncDir(s.dir)
-	}
-	if werr != nil {
-		// The marker exists (the decision is made); only the contents are
-		// suspect. Report the win along with the write failure.
-		return nil, true, fmt.Errorf("fleet: writing marker %q: %w", name, werr)
+	os.Remove(tmp.Name())
+	if err := syncDir(s.dir); err != nil {
+		// The marker exists (the decision is made); only its durability
+		// is suspect. Report the win along with the failure.
+		return nil, true, fmt.Errorf("fleet: syncing marker %q: %w", name, err)
 	}
 	return nil, true, nil
+}
+
+// LockStream is MemStore.LockStream for a directory: an exclusive lock
+// on a ".lock" file beside the stream's snapshot, which excludes every
+// other FileStore on the directory, in this process or another, and
+// dies with its holder. List and the recovery scan ignore lock files.
+func (s *FileStore) LockStream(stream string) (unlock func(), err error) {
+	unlock, err = lockFile(filepath.Join(s.dir, escapeStream(stream)+".lock"))
+	if err != nil {
+		return nil, fmt.Errorf("fleet: locking %q: %w", stream, err)
+	}
+	return unlock, nil
 }
 
 // quarantine moves a damaged file into the quarantine subdirectory,

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestMemStoreCopiesOnSave(t *testing.T) {
@@ -170,5 +171,61 @@ func TestCreateExclusiveMarkersInvisibleToSnapshots(t *testing.T) {
 	}
 	if _, ok, _ := s2.Load("epoch-7"); ok {
 		t.Fatal("marker readable as a snapshot")
+	}
+}
+
+// TestFileStoreLockStreamExcludesOtherHandles: a stream lock taken
+// through one FileStore holds off the same stream's lock through a
+// second handle on the directory, not other streams' locks, and the
+// lock file stays out of the inventory and the recovery scan.
+func TestFileStoreLockStreamExcludesOtherHandles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	a, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlock, err := a.LockStream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := b.LockStream("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other()
+	got := make(chan func(), 1)
+	go func() {
+		u, err := b.LockStream("s")
+		if err != nil {
+			t.Error(err)
+			u = func() {}
+		}
+		got <- u
+	}()
+	select {
+	case <-got:
+		t.Fatal("second handle took a held stream lock")
+	case <-time.After(50 * time.Millisecond):
+	}
+	unlock()
+	(<-got)()
+
+	if err := a.Save("s", []byte("snap")); err != nil {
+		t.Fatal(err)
+	}
+	names, err := a.List()
+	if err != nil || len(names) != 1 || names[0] != "s" {
+		t.Fatalf("List() = %v, %v, want just s", names, err)
+	}
+	c, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Recovered(); st.Orphans != 0 || st.Corrupt != 0 {
+		t.Fatalf("recovery scan touched lock files: %+v", st)
 	}
 }

@@ -7,7 +7,11 @@
 // Pipelined clients get burst coalescing: frames already buffered when
 // a read returns are decoded together, staged into per-shard batch
 // runs (one fleet channel hop per run instead of per frame), and
-// answered with a single ordered write.
+// answered with a single ordered write. With a write-ahead log the
+// answer waits for durability, so each connection splits in two: the
+// read loop admits and appends burst after burst while a responder
+// goroutine group-commits what it has been handed and releases the
+// ACKs in arrival order.
 //
 // # Failure containment
 //
@@ -93,7 +97,9 @@ type Config struct {
 	// Fleet.Shards()). Every batch the fleet admits is appended to its
 	// owning shard's log, and the ACK is withheld until the log's
 	// commit completes — so an acked batch survives a crash and is
-	// replayed on restart. Nil means ACK-on-enqueue, today's behavior.
+	// replayed on restart. The commit runs on the connection's
+	// responder goroutine while the read loop keeps admitting. Nil
+	// means ACK-on-enqueue, written inline by the read loop.
 	WAL []*wal.Log
 	// Logf, if non-nil, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
@@ -151,8 +157,8 @@ type Metrics struct {
 	DeadConns uint64
 	// Bursts counts read-loop passes that coalesced two or more
 	// pipelined frames into per-shard runs; BurstFrames counts the
-	// frames those passes carried. frames - BurstFrames took the
-	// single-frame path.
+	// frames those passes carried. Frames - BurstFrames arrived alone,
+	// whichever path answered them.
 	Bursts      uint64
 	BurstFrames uint64
 	// Redirects counts batches NACKed to their owning node; Handoffs
@@ -422,23 +428,22 @@ type connState struct {
 	ctrl    [][]byte // encoded control-frame responses, indexed by slotControl slots
 
 	// WAL bookkeeping (unused when no WAL is configured): the highest
-	// LSN this connection appended per shard log, whether the log has
-	// uncommitted appends from the current burst, and a scratch copy of
-	// a staged run's batch headers (taken before TrySendRun hands the
-	// run slice to the fleet, whose release may reset it concurrently).
+	// LSN the current burst appended per shard log (0 = none), a
+	// scratch copy of a staged run's batch headers (taken before
+	// TrySendRun hands the run slice to the fleet, whose release may
+	// reset it concurrently), and the hand-off to the responder.
 	walLSN     []wal.LSN
-	walDirty   []bool
 	walScratch []fleet.Batch
+	pipe       *ackPipe
 }
 
 func newConnState(shards int) *connState {
 	return &connState{
-		intern:   make(map[string]string),
-		free:     make(chan *eventBuf, eventBufs),
-		runs:     make([]*runBuf, shards),
-		runFree:  make(chan *runBuf, maxBurst),
-		walLSN:   make([]wal.LSN, shards),
-		walDirty: make([]bool, shards),
+		intern:  make(map[string]string),
+		free:    make(chan *eventBuf, eventBufs),
+		runs:    make([]*runBuf, shards),
+		runFree: make(chan *runBuf, maxBurst),
+		walLSN:  make([]wal.LSN, shards),
 	}
 }
 
@@ -496,12 +501,16 @@ func (cs *connState) internStream(name []byte) string {
 //
 // Reads go through a buffered reader so a pipelined client's frames
 // are visible before they are asked for: when the buffer already holds
-// more complete frames after a read, the loop switches from the
-// per-frame path (decode, ingest, respond) to a coalescing pass —
-// decode every buffered frame (up to maxBurst), stage the batches into
+// more complete frames after a read, the loop coalesces them — decode
+// every buffered frame (up to maxBurst), stage the batches into
 // per-shard runs, enqueue each run as one fleet message, and answer
-// all of the burst's frames with a single ordered write. A synchronous
-// client (one frame in flight) never leaves the per-frame path.
+// all of the burst's frames with a single ordered write.
+//
+// Without a WAL the loop answers each pass itself, and a lone frame
+// (a synchronous client) takes the per-frame path. With a WAL every
+// pass, a lone frame included, is staged, admitted and appended, then
+// handed to the connection's responder, which commits and answers it
+// while the loop goes back to reading.
 func (s *Server) serveConn(conn net.Conn) {
 	peer := conn.RemoteAddr()
 	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
@@ -513,17 +522,39 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	cs := newConnState(s.cfg.Fleet.Shards())
+	stopResponder := func() {}
+	if s.cfg.WAL != nil {
+		cs.pipe = newAckPipe()
+		answered := make(chan struct{})
+		go func() {
+			defer close(answered)
+			s.respondLoop(conn, cs.pipe)
+		}()
+		// Every handed-off burst is committed and answered before the
+		// connection goroutine returns, so Shutdown still returns only
+		// after every admitted batch's ACK or NACK is written.
+		stopResponder = func() {
+			cs.pipe.close()
+			<-answered
+		}
+		defer stopResponder()
+	}
 	var rbuf, wbuf []byte
 	for !s.draining.Load() {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		payload, err := wire.ReadFrame(br, rbuf, s.cfg.MaxFrame)
 		if err != nil {
+			if cs.pipe != nil && !cs.pipe.ended.CompareAndSwap(false, true) {
+				return // the responder's failed write already counted the connection
+			}
 			if err == io.EOF {
 				return // orderly close at a frame boundary
 			}
 			if errors.Is(err, wire.ErrFrameTooLarge) {
-				// Best-effort courtesy NACK; the connection cannot be
-				// resynced past an oversized frame, so it closes.
+				// Best-effort courtesy NACK, after every pending answer;
+				// the connection cannot be resynced past an oversized
+				// frame, so it closes.
+				stopResponder()
 				s.respond(conn, wire.AppendNackFrame(wbuf[:0], 0, wire.NackMalformed, err.Error()))
 			}
 			s.dead.Add(1)
@@ -532,12 +563,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		rbuf = payload[:0]
 		s.frames.Add(1)
-		if !s.frameBuffered(br) {
+		if cs.pipe == nil && !s.frameBuffered(br) {
 			// Lone frame: decode, ingest, respond — what a synchronous
 			// client exercises on every frame.
 			wbuf = s.handleFrame(cs, payload, wbuf[:0])
 		} else {
-			// Pipelined frames are already waiting: coalesce the burst.
 			s.stageFrame(cs, payload)
 			nframes := uint64(1)
 			for len(cs.slots) < maxBurst && s.frameBuffered(br) {
@@ -550,9 +580,17 @@ func (s *Server) serveConn(conn net.Conn) {
 				nframes++
 				s.stageFrame(cs, payload)
 			}
-			s.bursts.Add(1)
-			s.burstFrames.Add(nframes)
-			wbuf = s.flushBurst(cs, wbuf[:0])
+			if nframes > 1 {
+				s.bursts.Add(1)
+				s.burstFrames.Add(nframes)
+			}
+			s.enqueueRuns(cs)
+			if cs.pipe != nil {
+				cs.pipe.handOff(cs)
+				continue
+			}
+			wbuf = s.appendResponses(wbuf[:0], cs.slots, cs.ctrl)
+			cs.slots, cs.ctrl = cs.slots[:0], cs.ctrl[:0]
 		}
 		if len(wbuf) > 0 && !s.respond(conn, wbuf) {
 			s.dead.Add(1)
@@ -579,7 +617,9 @@ func (s *Server) frameBuffered(br *bufio.Reader) bool {
 }
 
 // handleFrame decodes and dispatches one frame, returning the staged
-// response frame (empty for none). The batch fast path is
+// response frame (empty for none). It serves only connections without
+// a WAL; with one, every frame is staged and answered by the
+// responder. The batch fast path is
 // allocation-free in steady state: the frame decodes as views into the
 // read buffer plus a pooled event slice, the stream name comes from
 // the connection's intern table, and admission goes through the
@@ -632,15 +672,6 @@ func (s *Server) handleFrame(cs *connState, payload, wbuf []byte) []byte {
 		if err != nil {
 			// The batch never reached a shard; the buffer is still ours.
 			buf.recycle()
-		} else if s.cfg.WAL != nil {
-			// The shard has the batch; the ACK now waits on durability.
-			// Reading b.Events here does not race the shard (both only
-			// read), and the buffer cannot be reused before this
-			// goroutine loops back to getBuf.
-			si := int32(s.cfg.Fleet.StreamShard(b.Stream))
-			if err = s.walAppend(cs, si, &b); err == nil {
-				err = s.walCommit(cs, si)
-			}
 		}
 		return s.ingestResult(wbuf, fr.Seq, err, b.Stream)
 	case wire.TagFlush:
@@ -751,8 +782,8 @@ func (s *Server) awaitRedirect(stream string) (addr string, ok bool) {
 // decode failures record an immediate NackMalformed slot (and charge
 // the stream, exactly as the per-frame path does), and a flush acts as
 // a barrier — everything staged before it is enqueued first, then the
-// fleet-wide flush runs. Responses are not written here; flushBurst
-// answers the whole burst in arrival order.
+// fleet-wide flush runs. Responses are not written here; the whole
+// burst is answered later, in arrival order.
 func (s *Server) stageFrame(cs *connState, payload []byte) {
 	buf := cs.getBuf()
 	fr, err := wire.DecodeFrameView(payload, buf.events)
@@ -870,7 +901,9 @@ func (s *Server) enqueueRun(cs *connState, shard int32, rb *runBuf) {
 		if s.cfg.WAL != nil {
 			werr = s.walAppendRun(cs, shard, rej)
 		}
-		s.markRemaining(cs, shard, werr)
+		if n := s.markRemaining(cs, shard, werr); werr != nil {
+			s.walFails.Add(uint64(n))
+		}
 	case err == nil:
 		// Every batch was rejected: nothing was enqueued, the fleet
 		// never took the run buffer.
@@ -900,7 +933,9 @@ func (s *Server) enqueueRun(cs *connState, shard int32, rb *runBuf) {
 					b.Recycle() // never reached a shard; the buffer is ours
 				}
 			} else if s.cfg.WAL != nil {
-				berr = s.walAppend(cs, shard, &b)
+				if berr = s.walAppend(cs, shard, &b); berr != nil {
+					s.walFails.Add(1)
+				}
 			}
 			sl.kind, sl.err = slotDone, berr
 		}
@@ -919,14 +954,17 @@ func (s *Server) markSlot(cs *connState, shard, runIdx int32, err error) {
 	}
 }
 
-// markRemaining resolves every still-pending slot of one shard's run.
-func (s *Server) markRemaining(cs *connState, shard int32, err error) {
+// markRemaining resolves every still-pending slot of one shard's run
+// and returns how many it resolved.
+func (s *Server) markRemaining(cs *connState, shard int32, err error) (n int) {
 	for i := range cs.slots {
 		sl := &cs.slots[i]
 		if sl.kind == slotBatch && sl.shard == shard {
 			sl.kind, sl.err = slotDone, err
+			n++
 		}
 	}
+	return n
 }
 
 // walAppend appends one admitted batch to its shard's log and records
@@ -943,11 +981,9 @@ func (s *Server) walAppend(cs *connState, shard int32, b *fleet.Batch) error {
 		Events:      b.Events,
 	})
 	if err != nil {
-		s.walFails.Add(1)
 		return fmt.Errorf("wal append: %w", err)
 	}
 	cs.walLSN[shard] = lsn
-	cs.walDirty[shard] = true
 	return nil
 }
 
@@ -974,69 +1010,12 @@ func (s *Server) walAppendRun(cs *connState, shard int32, rej []fleet.RunReject)
 	return nil
 }
 
-// walCommit group-commits one shard's log through the connection's
-// highest appended LSN.
-func (s *Server) walCommit(cs *connState, shard int32) error {
-	cs.walDirty[shard] = false
-	if err := s.cfg.WAL[shard].Commit(cs.walLSN[shard]); err != nil {
-		s.walFails.Add(1)
-		return fmt.Errorf("wal commit: %w", err)
-	}
-	return nil
-}
-
-// commitBurst group-commits every shard log the burst appended to,
-// before any of the burst's ACKs are written. Shards commit
-// concurrently — the burst pays one fsync latency, not one per dirty
-// shard — and each shard's log single-flights the fsync itself, so
-// bursts from other connections piggyback on the same window. A commit
-// failure flips the affected shard's still-acked batch slots to NACKs:
-// those batches are applied in memory but not durable, so the client
-// must not count them as acked.
-func (s *Server) commitBurst(cs *connState) {
-	if s.cfg.WAL == nil {
-		return
-	}
-	var dirty []int32
-	for si := range cs.walDirty {
-		if cs.walDirty[si] {
-			dirty = append(dirty, int32(si))
-		}
-	}
-	errs := make([]error, len(dirty))
-	if len(dirty) == 1 {
-		errs[0] = s.walCommit(cs, dirty[0])
-	} else if len(dirty) > 1 {
-		var wg sync.WaitGroup
-		for i, si := range dirty {
-			wg.Add(1)
-			go func(i int, si int32) {
-				defer wg.Done()
-				errs[i] = s.walCommit(cs, si)
-			}(i, si)
-		}
-		wg.Wait()
-	}
-	for i, si := range dirty {
-		if errs[i] == nil {
-			continue
-		}
-		for j := range cs.slots {
-			sl := &cs.slots[j]
-			if sl.kind == slotDone && sl.err == nil && sl.stream != "" && sl.shard == si {
-				sl.err = errs[i]
-			}
-		}
-	}
-}
-
-// flushBurst enqueues any still-staged runs and builds the burst's
-// responses in frame-arrival order, ready for one coalesced write.
-func (s *Server) flushBurst(cs *connState, wbuf []byte) []byte {
-	s.enqueueRuns(cs)
-	s.commitBurst(cs)
-	for i := range cs.slots {
-		sl := &cs.slots[i]
+// appendResponses encodes a burst's responses in frame-arrival order,
+// ready for one coalesced write, and clears the slots and control
+// responses so their references do not outlive the burst.
+func (s *Server) appendResponses(wbuf []byte, slots []frameSlot, ctrl [][]byte) []byte {
+	for i := range slots {
+		sl := &slots[i]
 		switch sl.kind {
 		case slotDone:
 			wbuf = s.ingestResult(wbuf, sl.seq, sl.err, sl.stream)
@@ -1045,15 +1024,11 @@ func (s *Server) flushBurst(cs *connState, wbuf []byte) []byte {
 		case slotRedirect:
 			wbuf = s.nack(wbuf, sl.seq, wire.NackRedirect, sl.detail)
 		case slotControl:
-			wbuf = append(wbuf, cs.ctrl[sl.runIdx]...)
+			wbuf = append(wbuf, ctrl[sl.runIdx]...)
 		}
-		sl.err, sl.detail, sl.stream = nil, "", "" // drop references for reuse
+		*sl = frameSlot{}
 	}
-	cs.slots = cs.slots[:0]
-	for i := range cs.ctrl {
-		cs.ctrl[i] = nil
-	}
-	cs.ctrl = cs.ctrl[:0]
+	clear(ctrl)
 	return wbuf
 }
 

@@ -18,7 +18,7 @@
 // record format is versioned like every other codec in the repo.
 //
 // Durability discipline mirrors the FileStore (DESIGN.md §10): appends
-// go to the active segment through a write buffer; a group commit
+// go to the active segment through a bounded write buffer; a group commit
 // batches fsyncs across whatever accumulated while the previous fsync
 // ran, and committers wait until the synced offset covers their record.
 // Opening a log truncates a torn tail (a crash mid-append) off the last
@@ -63,6 +63,12 @@ const frameHeaderSize = 8
 // grows past it is sealed and a new one started, bounding both the
 // replay unit and the space reclaimed per truncation.
 const DefaultSegmentBytes = 16 << 20
+
+// writeThroughBytes bounds the append buffer: once it holds this much,
+// Append writes it out to the active segment instead of letting it
+// grow. Without the bound the buffer would keep the capacity of the
+// largest commit window it ever held.
+const writeThroughBytes = 16 << 10
 
 // MaxRecordBytes bounds one record's payload. Ingest batches are capped
 // well below this by the wire frame limit; anything larger in a segment
@@ -454,6 +460,16 @@ func (l *Log) Append(rec *Record) (LSN, error) {
 	l.wroteLSN += LSN(len(frame))
 	l.appends++
 	lsn := l.wroteLSN
+	// Write through a full buffer even while a group fsync is in
+	// flight: the fsync's flusher captured the LSN it covers before
+	// releasing the lock, so bytes written now only ever make the file
+	// more durable than syncedLSN claims, never less.
+	if len(l.buf) >= writeThroughBytes {
+		if err := l.writeOutLocked(); err != nil {
+			l.err = err
+			return 0, err
+		}
+	}
 	// Rotation waits out an in-flight group fsync: the fsync holds the
 	// active file while the lock is released, so swapping it out from
 	// under the flusher would sync the wrong file.

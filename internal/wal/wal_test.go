@@ -305,6 +305,83 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// TestAppendBufferBoundedDuringSync pins the append buffer's bound: with
+// a group fsync held in flight, a long run of appends is written
+// through to the segment instead of growing the buffer, and a commit
+// after the fsync still covers every record, which replays intact and
+// in order.
+func TestAppendBufferBoundedDuringSync(t *testing.T) {
+	dir := t.TempDir()
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	l, err := Open(Options{Dir: dir, Sync: SyncGroup, Hooks: Hooks{BeforeSync: func(string) error {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+		return nil
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*Record
+	first := testRecord("s", 1, 64)
+	want = append(want, first)
+	lsn, err := l.Append(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- l.Commit(lsn) }()
+	<-entered // the first window's fsync is in flight, lock released
+
+	const n = 2000
+	var maxCap int
+	for i := 2; i <= n; i++ {
+		rec := testRecord("s", uint64(i), 64)
+		want = append(want, rec)
+		if lsn, err = l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		l.mu.Lock()
+		maxCap = max(maxCap, cap(l.buf))
+		l.mu.Unlock()
+	}
+	// One record past the threshold, rounded up by append's growth.
+	if limit := 2 * writeThroughBytes; maxCap > limit {
+		t.Fatalf("append buffer grew to %d bytes during the fsync, want <= %d", maxCap, limit)
+	}
+	close(gate)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if appends, _ := l.Stats(); appends != n {
+		t.Fatalf("appends %d, want %d", appends, n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := replayAll(t, dir)
+	if len(got) != n {
+		t.Fatalf("replayed %d records, want %d", len(got), n)
+	}
+	for i := range got {
+		w := want[i]
+		if got[i].Seq != w.Seq || got[i].Cycles != w.Cycles || len(got[i].Events) != len(w.Events) {
+			t.Fatalf("record %d: got seq %d, want %d", i, got[i].Seq, w.Seq)
+		}
+		for j := range w.Events {
+			if got[i].Events[j] != w.Events[j] {
+				t.Fatalf("record %d event %d: got %+v, want %+v", i, j, got[i].Events[j], w.Events[j])
+			}
+		}
+	}
+}
+
 // TestInjectedTornWrite pins the faults-hook contract: a torn append
 // fails, latches the log, and a reopen truncates exactly the torn
 // fragment so the acked prefix replays intact.

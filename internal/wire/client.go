@@ -122,6 +122,7 @@ type Client struct {
 	maxFrame  int
 	jit       uint64              // jitter rng state (seeded from addr)
 	sleepFn   func(time.Duration) // test hook; nil = time.Sleep
+	held      []heldRedirect      // frames redirected during redirect's drain
 }
 
 // Dial connects to a phasekitd server and performs the magic
@@ -440,44 +441,45 @@ func (c *Client) queueBatch(stream string, cycles uint64, events []trace.BranchE
 		// below is the call that discovers the connection is gone.
 		inf.frame = c.retainFrame()
 	}
+	var firstNack error
 	if _, err := c.bw.Write(c.wbuf); err != nil {
-		if !recoverable(err) || c.Reconnect.MaxAttempts <= 0 {
+		// The connection died under us. Settle it (reconnecting and
+		// replaying the frames still in flight), then re-send this one.
+		nack, err := c.resend(err, inf)
+		if err != nil {
 			return err
 		}
-		// The connection died under us. Reconnect (replaying the frames
-		// already in flight), then re-send this one.
-		if rerr := c.recoverConn(err); rerr != nil {
-			if errors.Is(rerr, errPeerLost) {
-				c.abandon()
-				c.rt.stalled = append(c.rt.stalled, inf)
-				return c.rt.settle(c.rt.all[0])
+		if c.rt != nil && !c.rt.live(c) {
+			// Abandoned, with this frame stalled behind the rest: deliver
+			// them through the primary now.
+			if err := c.rt.settle(c.rt.all[0]); err != nil {
+				return err
 			}
-			return rerr
+			return nack
 		}
-		if _, err := c.bw.Write(inf.frame); err != nil {
-			return err
-		}
+		firstNack = nack
+	} else {
+		c.pending = append(c.pending, inf)
 	}
-	c.pending = append(c.pending, inf)
 	win := c.Window
 	if win < 1 {
 		win = 1
 	}
-	var firstNack error
 	for len(c.pending) > win {
 		// Push buffered frames to the server before parking in a read,
 		// or both sides could be waiting on each other.
 		if err := c.bw.Flush(); err != nil {
-			if !recoverable(err) || c.Reconnect.MaxAttempts <= 0 {
-				return err
-			}
-			if rerr := c.recoverConn(err); rerr != nil {
-				if errors.Is(rerr, errPeerLost) {
-					c.abandon()
-					break
-				}
+			nack, rerr := c.recoverWrite(err)
+			if rerr != nil {
 				return rerr
 			}
+			if firstNack == nil {
+				firstNack = nack
+			}
+			if c.rt != nil && !c.rt.live(c) {
+				break
+			}
+			continue
 		}
 		if err := c.readResponse(); err != nil {
 			var ne *NackError
@@ -640,15 +642,71 @@ func (c *Client) readResponse() error {
 // REDIRECT nack: learn the route, patch the retained frame's seq for
 // the new connection, and append it to that connection's pipeline.
 //
-// Ordering: responses arrive in send order per connection, so a window
-// of frames redirected together re-queues in its original order. But
-// the moment the route is learned, *new* batches for the stream start
-// riding the new connection — so before returning, every same-stream
-// frame still in flight on this connection is drained (each will be
-// redirected too, queuing behind this one). Without that, a batch sent
-// after the route flip could overtake one sent before it. Per-stream
-// FIFO therefore survives the migration.
+// Ordering: the moment the route is learned, *new* batches for the
+// stream start riding the new connection, so before returning, every
+// same-stream frame still in flight on this connection is drained
+// first. Without that, a batch sent after the route flip could
+// overtake one sent before it. The frames those verdicts redirect are
+// held, not re-queued one by one, and all of them go to their owners
+// in arrival order once the drain is done. The old route's node has
+// therefore answered every frame of the window before the new owner
+// sees the first one: if the new owner dies mid-window and the old
+// node takes the stream over, it cannot be holding a later frame that
+// it accepts ahead of an earlier one lost with the dead owner.
+// Per-stream FIFO therefore survives the migration.
 func (c *Client) redirect(inf inflight, owner string) error {
+	c.held = append(c.held, heldRedirect{inf, owner})
+	if len(c.held) > 1 {
+		return nil // inside an earlier redirect's drain, which re-homes it
+	}
+	defer func() { c.held = c.held[:0] }()
+	var firstNack error
+	if c.hasPending(inf.stream) {
+		if err := c.bw.Flush(); err != nil {
+			return err
+		}
+		for c.hasPending(inf.stream) {
+			if err := c.readResponse(); err != nil {
+				var ne *NackError
+				if !errors.As(err, &ne) {
+					return err
+				}
+				if firstNack == nil {
+					firstNack = err
+				}
+			}
+		}
+	}
+	// Indexed, not ranged: re-homing onto this same connection can read
+	// a verdict that holds one more frame.
+	for i := 0; i < len(c.held); i++ {
+		if err := c.rehome(c.held[i].inf, c.held[i].owner); err != nil {
+			var ne *NackError
+			if !errors.As(err, &ne) {
+				for _, rest := range c.held[i+1:] {
+					c.recycle(rest.inf)
+				}
+				return err
+			}
+			if firstNack == nil {
+				firstNack = err
+			}
+		}
+	}
+	return firstNack
+}
+
+// heldRedirect is a refused frame waiting, with the owner its REDIRECT
+// named, for redirect's drain to finish.
+type heldRedirect struct {
+	inf   inflight
+	owner string
+}
+
+// rehome re-queues one redirected frame on its owner's connection, or
+// stalls it for re-delivery through the primary while the owner is
+// unreachable.
+func (c *Client) rehome(inf inflight, owner string) error {
 	if owner == "" || inf.hops >= maxRedirectHops {
 		c.recycle(inf)
 		return &NackError{Seq: inf.seq, Code: NackRedirect, Err: ErrTooManyRedirects,
@@ -670,47 +728,102 @@ func (c *Client) redirect(inf inflight, owner string) error {
 	}
 	t.seq++
 	binary.LittleEndian.PutUint64(inf.frame[seqOffset:], t.seq)
+	inf.seq = t.seq
+	inf.hops++
 	if err := t.deadline(); err != nil {
 		c.recycle(inf)
 		return err
 	}
-	if _, err := t.bw.Write(inf.frame); err != nil {
+	nack, err := t.push(inf)
+	if err != nil {
 		c.recycle(inf)
 		return err
 	}
-	// Push the re-queued frame to the new owner now: the next read may
-	// be on t (Drain round-robins connections), and a frame parked in
-	// the write buffer would deadlock that read.
-	if err := t.bw.Flush(); err != nil {
-		c.recycle(inf)
-		return err
-	}
-	inf.seq = t.seq
-	inf.hops++
-	t.pending = append(t.pending, inf)
 	c.rt.redirects++
+	return nack
+}
 
-	// Fence: drain this connection's remaining in-flight frames for the
-	// same stream before any caller can queue on the new route.
-	if c.hasPending(inf.stream) {
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		var firstNack error
-		for c.hasPending(inf.stream) {
-			if err := c.readResponse(); err != nil {
-				var ne *NackError
-				if !errors.As(err, &ne) {
-					return err
-				}
-				if firstNack == nil {
-					firstNack = err
-				}
+// push appends a re-queued frame to this connection's pipeline and
+// flushes it to the server at once: the next read may be on this
+// connection (Drain round-robins connections), and a frame parked in
+// the write buffer would deadlock that read. A failed write goes
+// through resend. A Nack verdict read while settling is returned as
+// nack; it refuses an earlier frame, not this one.
+func (c *Client) push(inf inflight) (nack, err error) {
+	_, err = c.bw.Write(inf.frame)
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err == nil {
+		c.pending = append(c.pending, inf)
+		return nil, nil
+	}
+	if nack, err = c.resend(err, inf); err != nil || !c.rt.live(c) {
+		return nack, err
+	}
+	return nack, c.bw.Flush()
+}
+
+// resend handles a write of inf that failed with cause: it settles the
+// connection (recoverWrite), then writes inf again behind the replayed
+// pipeline and appends it to pending — or, when the connection was
+// abandoned for a peer that stays down, stalls inf behind the
+// connection's other frames for re-delivery through the primary,
+// exactly as for an owner that was unreachable from the start. The
+// caller tells the two apart with router.live. Nack verdicts read while
+// settling come back as nack.
+func (c *Client) resend(cause error, inf inflight) (nack, err error) {
+	if nack, err = c.recoverWrite(cause); err != nil {
+		return nack, err
+	}
+	if c.rt != nil && !c.rt.live(c) {
+		c.rt.stalled = append(c.rt.stalled, inf)
+		return nack, nil
+	}
+	if _, err = c.bw.Write(inf.frame); err != nil {
+		return nack, err
+	}
+	c.pending = append(c.pending, inf)
+	return nack, nil
+}
+
+// recoverWrite settles a connection whose write or flush failed with
+// cause the way the read path settles one: the verdicts the server
+// sent before the failure are read first, so frames it already
+// answered are not sent again, and the read path's recovery then
+// redials (replaying what the connection still carries) or, for a peer
+// that stays down, abandons it and stalls its frames. If every verdict
+// arrives intact, it redials itself. On a nil error the connection is
+// either usable again or, when following redirects, abandoned (see
+// router.live). Nack verdicts read on the way come back as nack. An
+// unrecoverable cause, or one without a reconnect policy, is returned
+// as is.
+func (c *Client) recoverWrite(cause error) (nack, err error) {
+	if !recoverable(cause) || c.Reconnect.MaxAttempts <= 0 {
+		return nil, cause
+	}
+	conn := c.conn
+	for len(c.pending) > 0 {
+		if err := c.readResponse(); err != nil {
+			var ne *NackError
+			if !errors.As(err, &ne) {
+				return nack, err
+			}
+			if nack == nil {
+				nack = err
 			}
 		}
-		return firstNack
+		if c.conn != conn || (c.rt != nil && !c.rt.live(c)) {
+			return nack, nil // redialed, or abandoned
+		}
 	}
-	return nil
+	if rerr := c.recoverConn(cause); rerr != nil {
+		if !errors.Is(rerr, errPeerLost) {
+			return nack, rerr
+		}
+		c.abandon()
+	}
+	return nack, nil
 }
 
 // hasPending reports whether any in-flight frame on this connection
