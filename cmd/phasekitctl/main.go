@@ -17,9 +17,8 @@
 // adopted by the survivors from the shared checkpoint store. rebalance
 // renumbers the current membership to a fresh epoch, fencing any
 // writer still on an older one, without moving streams. checkpoint
-// persists every resident stream to the node's store and waits for its
-// replication queue to drain — a durability barrier that does not stop
-// the node.
+// persists every resident stream to the node's store — a durability
+// barrier that does not stop the node.
 //
 // All verbs print the node's JSON response. Exit status is non-zero on
 // transport errors or any non-200 reply.
@@ -43,7 +42,7 @@ verbs:
   join <node-id> <addr>     add a member whose ingest listener is at addr
   leave <node-id>           remove a member (streams move to survivors)
   rebalance                 advance the ring epoch without moving streams
-  checkpoint                persist every resident stream and drain replication
+  checkpoint                persist every resident stream to the store
 `)
 	os.Exit(2)
 }

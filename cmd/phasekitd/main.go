@@ -84,7 +84,6 @@ func main() {
 		hbInterval = flag.Duration("heartbeat-interval", time.Second, "failure-detector heartbeat period (0 = no failure detection)")
 		suspectTO  = flag.Duration("suspect-after", 0, "silence before a peer is suspect (0 = 3x heartbeat interval)")
 		deadTO     = flag.Duration("dead-after", 0, "silence before a peer is a takeover candidate (0 = 2x suspect-after)")
-		replicate  = flag.Bool("replicate", true, "ship checkpoints asynchronously to each stream's ring successor")
 		walDir     = flag.String("wal-dir", "", "write-ahead log root; batches are ACKed only after their WAL append is durable, and the log is replayed over the last checkpoints at startup (empty = no WAL)")
 		walSync    = flag.String("wal-sync", "group", "WAL durability: always (fsync per append), group (one fsync per commit window), off (disable the WAL entirely; ACK on enqueue as without -wal-dir)")
 	)
@@ -166,21 +165,12 @@ func main() {
 		}
 	}
 	var fence *cluster.FencedStore
-	var rstore *cluster.ReplicatedStore
 	if *nodeID != "" && fcfg.Store != nil {
 		// Checkpoints carry the writer's ring epoch; the store refuses
 		// writes from epochs older than what it already holds, so a
 		// fenced-off former owner cannot clobber its successor's state.
 		fence = cluster.NewFencedStore(fcfg.Store, 1)
 		fcfg.Store = fence
-		if *replicate {
-			// Every checkpoint is also shipped (asynchronously) to the
-			// stream's ring successor, so a takeover can warm-start even
-			// when the store is per-node. The replicator itself is wired
-			// in below, once the coordinator exists.
-			rstore = cluster.NewReplicatedStore(fence)
-			fcfg.Store = rstore
-		}
 	}
 	if err := fcfg.Validate(); err != nil {
 		logger.Fatal(err)
@@ -234,7 +224,6 @@ func main() {
 	}
 
 	var coord *cluster.Coordinator
-	var repl *cluster.Replicator
 	var det *cluster.Detector
 	if *nodeID != "" {
 		adv := *nodeAddr
@@ -252,16 +241,6 @@ func main() {
 		})
 		if err != nil {
 			logger.Fatal(err)
-		}
-		if rstore != nil {
-			repl, err = cluster.NewReplicator(cluster.ReplicatorConfig{
-				Coordinator: coord, Logf: logger.Printf,
-			})
-			if err != nil {
-				logger.Fatal(err)
-			}
-			rstore.SetReplicator(repl)
-			coord.AttachReplicator(repl)
 		}
 		if *hbInterval > 0 {
 			det, err = cluster.NewDetector(cluster.DetectorConfig{
@@ -425,12 +404,6 @@ func main() {
 				}
 			}
 		}
-	}
-	if repl != nil {
-		if err := repl.Drain(ctx); err != nil {
-			logger.Printf("replication drain: %v", err)
-		}
-		repl.Close()
 	}
 	if *phasesPath != "" {
 		// Streaming mode wrote every line as its interval closed; just

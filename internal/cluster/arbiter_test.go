@@ -190,36 +190,17 @@ func TestFencedStoreEqualEpochTiebreak(t *testing.T) {
 	})
 }
 
-// TestFenceV1PayloadStillLoads: checkpoints stamped before the writer
-// ID existed (fence version 1) must keep loading — and, carrying no
-// writer, must never contest a tiebreak (a v2 writer simply overwrites
-// at the same epoch).
-func TestFenceV1PayloadStillLoads(t *testing.T) {
-	mem := fleet.NewMemStore()
+// TestFenceV1PayloadRefused: checkpoints stamped with fence version 1
+// (before the writer ID existed) are no longer read. A v1 prefix is
+// ErrSnapshotCorrupt like any other unreadable fence, and a same-epoch
+// Save does not overwrite it.
+func TestFenceV1PayloadRefused(t *testing.T) {
 	// Hand-encode a v1 prefix: tag, version, epoch, blob.
 	v1 := []byte{TagFence, 1}
 	v1 = append(v1, 5, 0, 0, 0, 0, 0, 0, 0) // epoch 5, little-endian u64
 	v1 = append(v1, 4, 0, 0, 0)             // blob length 4
 	v1 = append(v1, 'o', 'l', 'd', '!')
-	if err := mem.Save("s", v1); err != nil {
-		t.Fatal(err)
-	}
-	fs := NewFencedStore(mem, 5)
-	fs.SetWriter("n1")
-	snap, ok, err := fs.Load("s")
-	if err != nil || !ok || !bytes.Equal(snap, []byte("old!")) {
-		t.Fatalf("v1 load: %q ok=%v err=%v", snap, ok, err)
-	}
-	if e, ok, err := fs.LoadEpoch("s"); err != nil || !ok || e != 5 {
-		t.Fatalf("v1 epoch: %d ok=%v err=%v", e, ok, err)
-	}
-	if err := fs.Save("s", []byte("new")); err != nil {
-		t.Fatalf("same-epoch save over v1 payload: %v", err)
-	}
-	snap, _, _ = fs.Load("s")
-	if !bytes.Equal(snap, []byte("new")) {
-		t.Fatalf("payload after v2 save: %q", snap)
-	}
+	assertFenceRefuses(t, v1)
 }
 
 // newArbiterTestCoordinator builds a two-node coordinator over the
@@ -341,7 +322,7 @@ func TestAdoptOrphanSkippedWhenRestampFails(t *testing.T) {
 	inner := &restampFailStore{MemStore: fleet.NewMemStore()}
 	// Seed the dead node's checkpoint through the embedded store
 	// directly (bypassing the read-only Save override).
-	if err := inner.MemStore.Save("takeover-stream", []byte{TagFence, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err != nil {
+	if err := inner.MemStore.Save("takeover-stream", encodeFenced(t, 1, "", nil)); err != nil {
 		t.Fatal(err)
 	}
 	fence := NewFencedStore(inner, 1)

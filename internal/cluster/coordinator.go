@@ -91,18 +91,9 @@ type Coordinator struct {
 	aheadMu sync.RWMutex
 	ahead   map[string]struct{}
 
-	// replicas caches checkpoint snapshots shipped by ring predecessors
-	// (bounded; see AcceptReplica). On takeover they are the warm-start
-	// source when the shared store has nothing newer.
-	replMu       sync.Mutex
-	replicas     map[string][]byte
-	replicaOrder []string
-
-	// detector and repl are attached after construction (they each need
-	// the coordinator first); both may stay nil in tests or degraded
-	// configurations.
+	// detector is attached after construction (it needs the coordinator
+	// first); it may stay nil in tests or degraded configurations.
 	detector *Detector
-	repl     *Replicator
 
 	// onTakeover runs after a membership change removed members and
 	// their orphans were adopted, with the removed node IDs. phasekitd
@@ -116,14 +107,8 @@ type Coordinator struct {
 	storeFallbacks               atomic.Uint64
 	takeoversDone                atomic.Uint64
 	takeoverInFlight             atomic.Int64
-	replicasIn                   atomic.Uint64
 	orphansAdopted               atomic.Uint64
 }
-
-// replicaCacheCap bounds the in-memory replica cache; overflow evicts
-// the oldest entry. 4096 streams of a few KB each keeps the cache under
-// tens of MB while covering any realistic per-node stream count.
-const replicaCacheCap = 4096
 
 // NewCoordinator validates cfg and returns a Coordinator holding the
 // initial ring.
@@ -158,7 +143,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		opTimeout:   cfg.OpTimeout,
 		logf:        cfg.Logf,
 		ahead:       make(map[string]struct{}),
-		replicas:    make(map[string][]byte),
 	}, nil
 }
 
@@ -194,10 +178,6 @@ func (c *Coordinator) AttachDetector(d *Detector) { c.detector = d }
 // back into membership operations (it runs under the ring lock);
 // ownership queries and fleet sends are fine.
 func (c *Coordinator) AttachTakeoverHook(fn func(removed []string)) { c.onTakeover = fn }
-
-// AttachReplicator wires the checkpoint replicator in after
-// construction, so Status can report replication lag.
-func (c *Coordinator) AttachReplicator(r *Replicator) { c.repl = r }
 
 func (c *Coordinator) log(format string, args ...any) {
 	if c.logf != nil {
@@ -322,9 +302,12 @@ func (c *Coordinator) apply(next *Ring, propagate bool) (bool, error) {
 
 // adoptOrphans adopts every stream that cur assigned to a member next
 // no longer has and next assigns to this node. The inventory is the
-// union of the shared store's listing and the local replica cache —
-// between them, every stream the dead node ever checkpointed.
+// shared store's listing: every stream the dead node ever checkpointed.
+// Without a shared store there is nothing to recover from.
 func (c *Coordinator) adoptOrphans(cur, next *Ring) {
+	if c.fence == nil {
+		return
+	}
 	removed := make(map[string]bool)
 	for _, n := range cur.Nodes() {
 		if _, ok := next.Node(n.ID); !ok {
@@ -334,92 +317,54 @@ func (c *Coordinator) adoptOrphans(cur, next *Ring) {
 	if len(removed) == 0 {
 		return
 	}
-	inventory := make(map[string]struct{})
-	if c.fence != nil {
-		if names, err := c.fence.List(); err == nil {
-			for _, s := range names {
-				inventory[s] = struct{}{}
-			}
-		} else {
-			c.log("takeover: store inventory: %v", err)
-		}
+	names, err := c.fence.List()
+	if err != nil {
+		c.log("takeover: store inventory: %v", err)
+		return
 	}
-	c.replMu.Lock()
-	for s := range c.replicas {
-		inventory[s] = struct{}{}
-	}
-	c.replMu.Unlock()
-	resident := make(map[string]bool)
-	for _, s := range c.fleet.Streams() {
-		resident[s] = true
-	}
-	for s := range inventory {
+	for _, s := range names {
 		if !removed[cur.Owner(s).ID] || next.Owner(s).ID != c.self.ID {
 			continue
 		}
-		c.adoptOrphan(s, resident[s])
+		c.adoptOrphan(s)
 	}
 }
 
-// adoptOrphan claims one stream from a removed member. The shared
-// store's checkpoint is preferred (it is at least as fresh as any
-// replica: the owner wrote it synchronously and shipped the replica
-// after); the first thing that happens to it is a re-save at the new
+// adoptOrphan claims one stream from a removed member. The first thing
+// that happens to its shared-store checkpoint is a re-save at the new
 // epoch — the zombie fence: from that point a not-actually-dead owner
 // writing at its old epoch is refused, before the adopted stream has
 // served a single batch. The re-stamp gates the adoption: if it cannot
 // be made to stick (retries exhausted, or a higher epoch already owns
 // the stream), the stream is not adopted at all — serving it unfenced
 // would let a returning zombie interleave at the old epoch. A skipped
-// stream rehydrates lazily once its first batch arrives. Only when the
-// store has nothing does the cached replica seed the stream.
-func (c *Coordinator) adoptOrphan(stream string, alreadyTracked bool) {
-	c.replMu.Lock()
-	replica := c.replicas[stream]
-	if replica != nil {
-		delete(c.replicas, stream)
-		for i, s := range c.replicaOrder {
-			if s == stream {
-				c.replicaOrder = append(c.replicaOrder[:i], c.replicaOrder[i+1:]...)
-				break
-			}
-		}
-	}
-	c.replMu.Unlock()
+// stream rehydrates lazily once its first batch arrives. A stream whose
+// checkpoint cannot be read (or has vanished since the listing) is
+// adopted with a nil snapshot.
+func (c *Coordinator) adoptOrphan(stream string) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opTimeout)
 	defer cancel()
-	if c.fence != nil {
-		snap, ok, err := c.fence.Load(stream)
-		if err != nil {
-			c.log("takeover %q: store read: %v", stream, err)
-		} else if ok {
-			var serr error
-			for attempt := 0; attempt < 3; attempt++ {
-				if serr = c.fence.Save(stream, snap); serr == nil {
-					break
-				}
-				if errors.Is(serr, ErrStaleEpoch) {
-					break // a higher epoch owns it; not ours to adopt
-				}
-				time.Sleep(time.Duration(attempt+1) * 10 * time.Millisecond)
+	snap, ok, err := c.fence.Load(stream)
+	if err != nil {
+		c.log("takeover %q: store read: %v", stream, err)
+	} else if ok {
+		var serr error
+		for attempt := 0; attempt < 3; attempt++ {
+			if serr = c.fence.Save(stream, snap); serr == nil {
+				break
 			}
-			if serr != nil {
-				c.log("takeover %q: fence re-stamp failed, adoption skipped: %v", stream, serr)
-				return
+			if errors.Is(serr, ErrStaleEpoch) {
+				break // a higher epoch owns it; not ours to adopt
 			}
-			if aerr := c.fleet.AdoptStream(ctx, stream, nil); aerr != nil {
-				c.log("takeover %q: adopt: %v", stream, aerr)
-				return
-			}
-			c.orphansAdopted.Add(1)
+			time.Sleep(time.Duration(attempt+1) * 10 * time.Millisecond)
+		}
+		if serr != nil {
+			c.log("takeover %q: fence re-stamp failed, adoption skipped: %v", stream, serr)
 			return
 		}
 	}
-	if alreadyTracked {
-		replica = nil // live local state beats any cached replica
-	}
-	if aerr := c.fleet.AdoptStream(ctx, stream, replica); aerr != nil {
-		c.log("takeover %q: adopt from replica: %v", stream, aerr)
+	if aerr := c.fleet.AdoptStream(ctx, stream, nil); aerr != nil {
+		c.log("takeover %q: adopt: %v", stream, aerr)
 		return
 	}
 	c.orphansAdopted.Add(1)
@@ -761,42 +706,6 @@ func (c *Coordinator) HandleProbe(subject string) ProbeReply {
 	return c.detector.ViewOf(subject)
 }
 
-// AcceptReplica caches a checkpoint snapshot shipped by a stream's
-// owner (this node is its ring successor). The cache is memory-only
-// and bounded (oldest evicted): durability is the owner's fenced
-// store's job, and the cache exists so a takeover can warm-start when
-// that store is per-node or unreachable. A replica stamped with an
-// epoch older than this node's view is a zombie shipment and refused.
-// The caller must not reuse snap after the call.
-func (c *Coordinator) AcceptReplica(epoch uint64, stream string, snap []byte) error {
-	if cur := c.state.Epoch(); epoch < cur {
-		return fmt.Errorf("%w: replica at epoch %d, current %d", ErrStaleEpoch, epoch, cur)
-	}
-	c.replMu.Lock()
-	if _, ok := c.replicas[stream]; !ok {
-		if len(c.replicaOrder) >= replicaCacheCap {
-			old := c.replicaOrder[0]
-			c.replicaOrder = c.replicaOrder[1:]
-			delete(c.replicas, old)
-		}
-		c.replicaOrder = append(c.replicaOrder, stream)
-	}
-	c.replicas[stream] = snap
-	c.replMu.Unlock()
-	c.replicasIn.Add(1)
-	return nil
-}
-
-// DrainReplication blocks until the attached replicator's queue is
-// empty (or ctx expires); with no replicator it returns immediately.
-// Callers pair it with Fleet.CheckpointCtx to quiesce durable state.
-func (c *Coordinator) DrainReplication(ctx context.Context) error {
-	if c.repl == nil {
-		return nil
-	}
-	return c.repl.Drain(ctx)
-}
-
 // Degraded reports whether the node is running in a reduced state: a
 // takeover is in flight, or the failure detector sees any peer as
 // suspect or dead. /readyz surfaces it without failing the check — a
@@ -856,16 +765,9 @@ type Status struct {
 	// lifetime counters (nil when no detector is attached).
 	Peers  []PeerStatus      `json:",omitempty"`
 	Health *DetectorCounters `json:",omitempty"`
-	// Replication is the checkpoint replicator's queue depth, oldest-
-	// entry age, and counters (nil when no replicator is attached).
-	Replication *ReplicationStatus `json:",omitempty"`
-	// ReplicasHeld counts warm replica snapshots cached for takeover;
-	// ReplicasIn counts replicas accepted over the node's lifetime.
-	ReplicasHeld int
-	ReplicasIn   uint64
 	// TakeoversDone counts automatic failovers this node initiated;
 	// TakeoverInFlight is nonzero while one runs. OrphansAdopted counts
-	// streams claimed from removed members (store or replica seeded).
+	// streams claimed from removed members' shared-store checkpoints.
 	TakeoversDone    uint64
 	TakeoverInFlight int64
 	OrphansAdopted   uint64
@@ -886,20 +788,12 @@ func (c *Coordinator) Status() Status {
 	c.aheadMu.RLock()
 	ahead := len(c.ahead)
 	c.aheadMu.RUnlock()
-	c.replMu.Lock()
-	held := len(c.replicas)
-	c.replMu.Unlock()
 	var peers []PeerStatus
 	var health *DetectorCounters
 	if c.detector != nil {
 		peers = c.detector.PeerStatuses()
 		hc := c.detector.Counters()
 		health = &hc
-	}
-	var repl *ReplicationStatus
-	if c.repl != nil {
-		rs := c.repl.StatusSnapshot()
-		repl = &rs
 	}
 	return Status{
 		Node:             c.self,
@@ -915,9 +809,6 @@ func (c *Coordinator) Status() Status {
 		StaleAssigns:     c.staleAssigns.Load(),
 		Peers:            peers,
 		Health:           health,
-		Replication:      repl,
-		ReplicasHeld:     held,
-		ReplicasIn:       c.replicasIn.Load(),
 		TakeoversDone:    c.takeoversDone.Load(),
 		TakeoverInFlight: c.takeoverInFlight.Load(),
 		OrphansAdopted:   c.orphansAdopted.Load(),

@@ -14,13 +14,14 @@ import (
 // snapshot or vice versa.
 const TagFence = byte(0xF4)
 
-// fenceVersion 2 added the writer's node ID to the prefix so that
+// fenceVersion is the only fence prefix FencedStore reads or writes:
+// tag, version, epoch, writer node ID, payload. The writer ID lets
 // equal-epoch writers — impossible under arbitrated epoch allocation,
-// but reachable when the shared store predates arbitration or two
-// partitions each run against a stale copy — resolve by a deterministic
-// node-ID tiebreak instead of silently clobbering each other. Version-1
-// prefixes (no writer) still load; their writes carry an empty writer
-// and never contest a tiebreak.
+// but reachable when two partitions each run against a store that
+// cannot arbitrate — resolve by a deterministic node-ID tiebreak
+// instead of silently clobbering each other. A stored payload with any
+// other prefix (a bare snapshot, an older version) is refused as
+// corrupt.
 const fenceVersion = 2
 
 // FencedStore wraps a fleet.StateStore shared across cluster nodes with
@@ -90,8 +91,8 @@ func (s *FencedStore) Epoch() uint64 { return s.epoch.Load() }
 
 // SetWriter records the writing node's ID, stamped into every fence
 // prefix from then on. The coordinator sets it at construction; an
-// unset writer saves version-2 prefixes with an empty ID and concedes
-// any equal-epoch tiebreak.
+// unset writer saves prefixes with an empty ID, which never contest an
+// equal-epoch tiebreak.
 func (s *FencedStore) SetWriter(id string) { s.writer.Store(id) }
 
 func (s *FencedStore) writerID() string {
@@ -216,17 +217,14 @@ func (s *FencedStore) List() ([]string, error) {
 	return nil, nil
 }
 
-// Load returns the stream's snapshot with the fence prefix stripped.
-// Payloads without a fence section (checkpoints from a pre-cluster
-// single-node run) pass through unchanged, so pointing a cluster at an
-// existing state dir adopts it.
+// Load returns the stream's snapshot with the fence prefix stripped. A
+// payload without a current fence prefix is fleet.ErrSnapshotCorrupt.
 func (s *FencedStore) Load(stream string) ([]byte, bool, error) {
 	snap, _, _, ok, err := s.load(stream)
 	return snap, ok, err
 }
 
-// LoadEpoch reports the epoch recorded for a stream (0 for unfenced
-// legacy payloads).
+// LoadEpoch reports the epoch the stream's checkpoint was written at.
 func (s *FencedStore) LoadEpoch(stream string) (uint64, bool, error) {
 	_, epoch, _, ok, err := s.load(stream)
 	return epoch, ok, err
@@ -237,15 +235,13 @@ func (s *FencedStore) load(stream string) (snap []byte, epoch uint64, writer str
 	if err != nil || !ok {
 		return nil, 0, "", ok, err
 	}
-	if len(raw) == 0 || raw[0] != TagFence {
-		return raw, 0, "", true, nil // legacy unfenced snapshot
-	}
 	dec := state.NewDecoder(raw)
-	v := dec.Section(TagFence, fenceVersion)
-	epoch = dec.U64()
-	if v >= 2 {
-		writer = dec.String()
+	if v := dec.Section(TagFence, fenceVersion); v != 0 && v != fenceVersion {
+		return nil, 0, "", true, fmt.Errorf("%w: fence prefix for %q: version %d, want %d",
+			fleet.ErrSnapshotCorrupt, stream, v, fenceVersion)
 	}
+	epoch = dec.U64()
+	writer = dec.String()
 	snap = dec.Bytes()
 	if err := dec.Finish(); err != nil {
 		return nil, 0, "", true, fmt.Errorf("%w: fence prefix for %q: %w",

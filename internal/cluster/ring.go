@@ -148,39 +148,6 @@ func (r *Ring) Owns(id string, stream string) bool {
 	return r.Owner(stream).ID == id
 }
 
-// Successor returns the first node after stream's owner on the hash
-// circle — the replication target for the stream's checkpoints. The
-// defining property is Successor(s) == WithLeave(Owner(s)).Owner(s):
-// if the owner dies, the node that adopts the stream at the next epoch
-// is exactly the one that has been receiving its replicas. ok is false
-// on a single-node ring, which has nowhere to replicate.
-func (r *Ring) Successor(stream string) (Node, bool) {
-	if len(r.nodes) < 2 {
-		return Node{}, false
-	}
-	h := mix64(fnvString(stream))
-	pts := r.points
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].hash < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(pts) {
-		lo = 0
-	}
-	owner := pts[lo].node
-	for i := 1; i < len(pts); i++ {
-		if p := pts[(lo+i)%len(pts)]; p.node != owner {
-			return r.nodes[p.node], true
-		}
-	}
-	return Node{}, false
-}
-
 // ownerIdx resolves a stream hash to a member index: the first vnode at
 // or after the hash on the circle, wrapping to the lowest point.
 func (r *Ring) ownerIdx(h uint64) int32 {

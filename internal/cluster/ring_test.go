@@ -219,38 +219,46 @@ func TestFencedStoreRoundTripAndFencing(t *testing.T) {
 	}
 }
 
-func TestFencedStoreLegacyPassthroughAndCorruption(t *testing.T) {
+// TestFencedStoreRefusesUnfencedAndCorruption: every payload the fence
+// reads must carry the current fence prefix. A bare snapshot, a
+// truncated prefix and an empty payload are all ErrSnapshotCorrupt, and
+// each blocks a blind overwrite (it could be masking a newer owner's
+// checkpoint).
+func TestFencedStoreRefusesUnfencedAndCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		// Core tracker snapshots start with 0xF1.
+		{"bare snapshot", []byte{0xF1, 1, 7, 7}},
+		{"truncated prefix", []byte{TagFence, fenceVersion, 0}},
+		{"empty", []byte{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { assertFenceRefuses(t, tc.raw) })
+	}
+}
+
+// assertFenceRefuses seeds raw as the stored payload of stream "s" and
+// checks that a FencedStore reports it as ErrSnapshotCorrupt on Load and
+// LoadEpoch, refuses to Save over it, and leaves it as it was.
+func assertFenceRefuses(t *testing.T, raw []byte) {
+	t.Helper()
 	inner := fleet.NewMemStore()
-	// A pre-cluster snapshot saved directly (no fence prefix; core
-	// tracker snapshots start with 0xF1).
-	legacy := []byte{0xF1, 1, 7, 7}
-	if err := inner.Save("old", legacy); err != nil {
+	if err := inner.Save("s", raw); err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFencedStore(inner, 2)
-	got, ok, err := fs.Load("old")
-	if err != nil || !ok || string(got) != string(legacy) {
-		t.Fatalf("legacy load: %q %v %v", got, ok, err)
+	fs := NewFencedStore(inner, 5)
+	fs.SetWriter("n1")
+	if snap, _, err := fs.Load("s"); !errors.Is(err, fleet.ErrSnapshotCorrupt) {
+		t.Fatalf("load: %q err=%v, want ErrSnapshotCorrupt", snap, err)
 	}
-	if e, _, _ := fs.LoadEpoch("old"); e != 0 {
-		t.Fatalf("legacy epoch: %d", e)
+	if _, _, err := fs.LoadEpoch("s"); !errors.Is(err, fleet.ErrSnapshotCorrupt) {
+		t.Fatalf("load epoch: %v, want ErrSnapshotCorrupt", err)
 	}
-	// Legacy payloads can be re-fenced by a save.
-	if err := fs.Save("old", legacy); err != nil {
-		t.Fatalf("re-fence: %v", err)
+	if err := fs.Save("s", []byte{1}); err == nil {
+		t.Fatal("save over an unreadable fence succeeded")
 	}
-	if e, _, _ := fs.LoadEpoch("old"); e != 2 {
-		t.Fatalf("re-fenced epoch: %d", e)
-	}
-	// A truncated fence prefix is surfaced as a corrupt snapshot and
-	// blocks blind overwrites.
-	if err := inner.Save("bad", []byte{TagFence, 1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := fs.Load("bad"); !errors.Is(err, fleet.ErrSnapshotCorrupt) {
-		t.Fatalf("corrupt load: %v", err)
-	}
-	if err := fs.Save("bad", []byte{1}); err == nil {
-		t.Fatal("save over corrupt fence succeeded")
+	if got, _, err := inner.Load("s"); err != nil || string(got) != string(raw) {
+		t.Fatalf("stored payload changed by a refused save: %q err=%v", got, err)
 	}
 }

@@ -11,48 +11,6 @@ import (
 	"phasekit/internal/fleet"
 )
 
-// TestSuccessorMatchesLeaveOwner pins the replica-placement property
-// the takeover path depends on: a stream's ring successor is exactly
-// the node that inherits it when its owner leaves. A replica shipped to
-// Successor(s) is therefore always in the right hands when the owner
-// dies.
-func TestSuccessorMatchesLeaveOwner(t *testing.T) {
-	for _, size := range []int{2, 3, 5, 9} {
-		nodes := make([]Node, size)
-		for i := range nodes {
-			nodes[i] = Node{ID: fmt.Sprintf("node-%02d", i), Addr: "127.0.0.1:1"}
-		}
-		r := mustRing(t, 1, nodes)
-		for i := 0; i < 2000; i++ {
-			s := fmt.Sprintf("stream-%d", i)
-			owner := r.Owner(s)
-			succ, ok := r.Successor(s)
-			if !ok {
-				t.Fatalf("size %d: no successor for %q", size, s)
-			}
-			if succ.ID == owner.ID {
-				t.Fatalf("size %d: successor of %q equals its owner %q", size, s, owner.ID)
-			}
-			after, err := r.WithLeave(owner.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := after.Owner(s).ID; got != succ.ID {
-				t.Fatalf("size %d stream %q: Successor says %q, WithLeave(owner) assigns %q",
-					size, s, succ.ID, got)
-			}
-		}
-	}
-}
-
-// TestSuccessorSingleNode: a one-node ring has nowhere to replicate.
-func TestSuccessorSingleNode(t *testing.T) {
-	r := mustRing(t, 1, []Node{{ID: "only", Addr: "127.0.0.1:1"}})
-	if succ, ok := r.Successor("any"); ok {
-		t.Fatalf("single-node ring returned successor %+v", succ)
-	}
-}
-
 // TestFencedStoreConcurrentTakeoverOneWinner races two writers at
 // adjacent epochs — the exact shape of a takeover where the old owner
 // is still alive — over one shared store. Whatever the interleaving,

@@ -6,8 +6,8 @@
 // silence forward explicitly instead of sleeping.
 //
 // The Mesh does not carry traffic itself — it is a policy oracle.
-// Chaos tests wrap a real transport (a detector Pinger, a replicator
-// Ship function) and ask the mesh to Judge each message; the verdict
+// Chaos tests wrap a real transport (a detector Pinger) and ask the
+// mesh to Judge each message; the verdict
 // says deliver, drop, or deliver-twice, and how long to stall first.
 // Determinism: per-link decisions come from a counter and a seeded
 // xoshiro generator keyed by the link, so the same seed and the same

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"phasekit/internal/backoff"
 	"phasekit/internal/rng"
 )
 
@@ -104,20 +105,11 @@ type retrier struct {
 	metrics *metrics
 }
 
-// backoff returns the jittered delay before retry attempt k (0-based):
-// full jitter over [d/2, d] where d doubles per attempt up to the cap.
+// backoff returns the jittered delay before retry attempt k (0-based).
 // The jitter source is the calling shard's deterministic rng, so tests
 // with an injected sleeper observe a reproducible schedule.
 func (r *retrier) backoff(x *rng.Xoshiro256, k int) time.Duration {
-	d := r.policy.Backoff << uint(k)
-	if d <= 0 || d > r.policy.MaxBackoff {
-		d = r.policy.MaxBackoff
-	}
-	half := d / 2
-	if half > 0 {
-		d = half + time.Duration(x.Uint64()%uint64(half+1))
-	}
-	return d
+	return backoff.Delay(r.policy.Backoff, r.policy.MaxBackoff, k, x.Uint64)
 }
 
 // save runs StateStore.Save under the retry and breaker policy.

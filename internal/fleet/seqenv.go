@@ -10,7 +10,7 @@ import (
 // last applied batch sequence (streamEntry.seq). Every snapshot the
 // fleet writes — eviction, checkpoint, detach handoff — is wrapped so
 // the dedup watermark survives wherever the snapshot travels: the
-// store, a replica, a handoff frame, a crash replay. Snapshots read
+// store, a handoff frame, a crash replay. Snapshots read
 // back are unwrapped here; bare legacy snapshots (first byte is the
 // tracker tag, not this one) pass through with seq 0, which means
 // "no watermark: apply everything".

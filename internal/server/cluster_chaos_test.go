@@ -1,7 +1,7 @@
 package server
 
 // Cluster chaos tests: deterministic fault injection (faults.Mesh for
-// the detector/replication transport, faults.Clock for the suspicion
+// the detector transport, faults.Clock for the suspicion
 // ladder) driving the self-healing path end to end. Each scenario pins
 // the same contract as the cooperative e2e tests — the drained phase
 // log is byte-identical to the single-process oracle — while a node
@@ -130,41 +130,17 @@ func (p *meshPinger) Probe(peer cluster.Node, subject string) (cluster.ProbeRepl
 	return cluster.ProbeReply{State: cluster.PeerState(res.State), Age: res.Age, Known: res.Known}, nil
 }
 
-// meshShip gates replica shipments through the mesh, one dial per
-// shipment so a faulted link never wedges a cached connection.
-func meshShip(mesh *faults.Mesh, self string) func(cluster.Node, uint64, string, []byte) error {
-	return func(succ cluster.Node, epoch uint64, stream string, snap []byte) error {
-		if mesh.Judge(self, succ.ID).Drop {
-			return fmt.Errorf("chaos: replica %s→%s dropped", self, succ.ID)
-		}
-		cl, err := wire.Dial(succ.Addr, 2*time.Second)
-		if err != nil {
-			return err
-		}
-		defer cl.Close()
-		if err := cl.SendReplica(epoch, stream, snap); err != nil {
-			return err
-		}
-		if mesh.Judge(succ.ID, self).Drop {
-			return fmt.Errorf("chaos: replica ack %s→%s dropped", succ.ID, self)
-		}
-		return nil
-	}
-}
-
 // chaosNode is one in-process phasekitd with the full self-healing
-// stack: fenced+replicated store, failure detector (manual clock, mesh
-// transport), and checkpoint replicator — the same wiring as
-// cmd/phasekitd, minus the Start loop so tests own the tick order.
+// stack: fenced shared store and failure detector (manual clock, mesh
+// transport) — the same wiring as cmd/phasekitd, minus the Start loop
+// so tests own the tick order.
 type chaosNode struct {
 	id, addr string
 	fleet    *fleet.Fleet
 	coord    *cluster.Coordinator
 	srv      *Server
 	fence    *cluster.FencedStore
-	rstore   *cluster.ReplicatedStore
 	det      *cluster.Detector
-	repl     *cluster.Replicator
 	ping     *meshPinger
 	serveErr chan error
 
@@ -187,8 +163,7 @@ func startChaosNode(t *testing.T, id, storeDir string, rec *PhaseRecorder, mesh 
 			t.Fatal(err)
 		}
 		n.fence = cluster.NewFencedStore(fs, 1)
-		n.rstore = cluster.NewReplicatedStore(n.fence)
-		fcfg.Store = n.rstore
+		fcfg.Store = n.fence
 	}
 	n.fleet = fleet.New(fcfg)
 
@@ -225,21 +200,6 @@ func startChaosNode(t *testing.T, id, storeDir string, rec *PhaseRecorder, mesh 
 	}
 	n.coord.AttachDetector(n.det)
 
-	if n.rstore != nil {
-		n.repl, err = cluster.NewReplicator(cluster.ReplicatorConfig{
-			Coordinator: n.coord,
-			Backoff:     time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-			Ship:        meshShip(mesh, id),
-			Logf:        func(format string, args ...any) { t.Logf("%s: "+format, append([]any{id}, args...)...) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.rstore.SetReplicator(n.repl)
-		n.coord.AttachReplicator(n.repl)
-	}
-
 	n.srv, err = New(Config{Fleet: n.fleet, Cluster: n.coord, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -263,9 +223,9 @@ func (n *chaosNode) evictedEpoch() uint64 {
 	return n.evictedAt
 }
 
-// quiesce checkpoints every resident stream and waits for the replica
-// queue to drain — the `phasekitctl checkpoint` barrier the crash
-// script runs before kill -9.
+// quiesce checkpoints every resident stream into the shared store, as
+// `phasekitctl checkpoint` does. Chaos nodes run without a WAL, so this
+// is the only state of theirs a crash leaves behind.
 func (n *chaosNode) quiesce(t *testing.T) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -273,14 +233,11 @@ func (n *chaosNode) quiesce(t *testing.T) {
 	if err := n.fleet.CheckpointCtx(ctx); err != nil {
 		t.Fatalf("%s: checkpoint: %v", n.id, err)
 	}
-	if err := n.coord.DrainReplication(ctx); err != nil {
-		t.Fatalf("%s: replication drain: %v", n.id, err)
-	}
 }
 
-// crash is the in-process kill -9: the edge stops, the replicator and
-// fleet are torn down with NO checkpoint — every interval tracker
-// still in memory is simply gone.
+// crash is the in-process kill -9: the edge stops and the fleet is
+// torn down with NO checkpoint — every interval tracker still in
+// memory is simply gone.
 func (n *chaosNode) crash(t *testing.T) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -291,16 +248,13 @@ func (n *chaosNode) crash(t *testing.T) {
 	if err := <-n.serveErr; err != nil {
 		t.Fatalf("%s: serve: %v", n.id, err)
 	}
-	if n.repl != nil {
-		n.repl.Close()
-	}
 	n.fleet.Close()
 	n.det.Stop()
 	n.ping.close()
 }
 
-// shutdown is the graceful SIGTERM drain: checkpoint and replicate
-// everything, then stop.
+// shutdown is the graceful SIGTERM drain: checkpoint everything, then
+// stop.
 func (n *chaosNode) shutdown(t *testing.T) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -315,17 +269,6 @@ func (n *chaosNode) shutdown(t *testing.T) {
 		if err := n.fleet.CheckpointCtx(ctx); err != nil {
 			t.Fatalf("%s: checkpoint: %v", n.id, err)
 		}
-		// Best-effort, exactly like phasekitd's SIGTERM path: the last
-		// node standing has no live successor to drain to, and the
-		// fenced store already holds everything durably.
-		dctx, dcancel := context.WithTimeout(context.Background(), 2*time.Second)
-		if err := n.coord.DrainReplication(dctx); err != nil {
-			t.Logf("%s: replication drain: %v", n.id, err)
-		}
-		dcancel()
-	}
-	if n.repl != nil {
-		n.repl.Close()
 	}
 	n.fleet.Close()
 	n.det.Stop()
@@ -443,16 +386,21 @@ func TestClusterCrashFailover(t *testing.T) {
 	chaosSend(t, c1, batches, 0, cut)
 	c1.Close()
 
-	// The victim's last checkpoint lands in the shared store and its
-	// replicas reach the ring successors before the crash (the script's
-	// `phasekitctl checkpoint` barrier).
+	// The victim's last checkpoint lands in the shared store before the
+	// crash: every stream resident on it is readable there, by a
+	// survivor's handle, at the victim's epoch. Takeover recovers from
+	// nothing else.
 	n2.quiesce(t)
-	n2Resident := n2.coord.Status().ResidentStreams
+	n2Streams := n2.fleet.Streams()
+	n2Resident := len(n2Streams)
 	if n2Resident == 0 {
 		t.Fatal("test needs streams resident on the dying node; got none")
 	}
-	if in := n1.coord.Status().ReplicasIn + n3.coord.Status().ReplicasIn; in == 0 {
-		t.Fatal("no replicas reached the survivors before the crash")
+	for _, s := range n2Streams {
+		if e, ok, err := n1.fence.LoadEpoch(s); err != nil || !ok || e != n2.coord.Epoch() {
+			t.Fatalf("stream %q before the crash: stored epoch %d ok=%v err=%v, want a checkpoint at n2's epoch %d",
+				s, e, ok, err, n2.coord.Epoch())
+		}
 	}
 	n2.crash(t)
 

@@ -151,20 +151,13 @@ func (s *Server) clusterRoutes(mux *http.ServeMux) {
 	})
 	mux.HandleFunc("/cluster/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		// Quiesce durable state without stopping the node: checkpoint
-		// every resident stream through the (fenced, replicated) store,
-		// then wait for the replication queue to drain. After a 200 the
-		// store and the successors hold everything the node has seen —
-		// the fsync barrier the crash-failover script runs before
-		// kill -9.
+		// every resident stream through the fenced store. After a 200
+		// the store holds everything the node has seen, so a node
+		// without a WAL can be killed without losing acked state.
 		if !post(w, r) {
 			return
 		}
-		ctx := r.Context()
-		if err := s.cfg.Fleet.CheckpointCtx(ctx); err != nil {
-			fail(w, err)
-			return
-		}
-		if err := co.DrainReplication(ctx); err != nil {
+		if err := s.cfg.Fleet.CheckpointCtx(r.Context()); err != nil {
 			fail(w, err)
 			return
 		}

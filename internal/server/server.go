@@ -167,11 +167,9 @@ type Metrics struct {
 	Redirects uint64
 	Handoffs  uint64
 	// Pings and Probes count failure-detector heartbeats and quorum
-	// probes answered; Replicas counts checkpoint replicas accepted
-	// from ring predecessors. All stay zero outside cluster mode.
-	Pings    uint64
-	Probes   uint64
-	Replicas uint64
+	// probes answered. Both stay zero outside cluster mode.
+	Pings  uint64
+	Probes uint64
 	// WALFailures counts batches that were applied in memory but NACKed
 	// because their write-ahead-log append or commit failed — the
 	// durability contract could not be met, so the client must not
@@ -198,7 +196,7 @@ type Server struct {
 
 	conns64, frames, acks, nacks, malformed, dead atomic.Uint64
 	bursts, burstFrames, redirects, handoffs      atomic.Uint64
-	pings, probes, replicas, walFails             atomic.Uint64
+	pings, probes, walFails                       atomic.Uint64
 }
 
 // New returns an unstarted server.
@@ -248,7 +246,6 @@ func (s *Server) Metrics() Metrics {
 		Handoffs:    s.handoffs.Load(),
 		Pings:       s.pings.Load(),
 		Probes:      s.probes.Load(),
-		Replicas:    s.replicas.Load(),
 		WALFailures: s.walFails.Load(),
 	}
 }
@@ -681,7 +678,7 @@ func (s *Server) handleFrame(cs *connState, payload, wbuf []byte) []byte {
 		cancel()
 		return s.ingestResult(wbuf, fr.Seq, err, "")
 	case wire.TagJoin, wire.TagAssign, wire.TagHandoffSnapshot,
-		wire.TagPing, wire.TagProbe, wire.TagReplicate:
+		wire.TagPing, wire.TagProbe:
 		// fr.Stream and fr.Snap are views into payload, valid for the
 		// synchronous dispatch; buf carried no events for these tags.
 		buf.recycle()
@@ -731,15 +728,6 @@ func (s *Server) controlFrame(fr wire.FrameView, wbuf []byte) []byte {
 		s.probes.Add(1)
 		s.acks.Add(1)
 		return wire.AppendProbeAckFrame(wbuf, fr.Seq, uint8(rep.State), uint64(rep.Age.Milliseconds()), rep.Known)
-	case wire.TagReplicate:
-		// The coordinator caches the snapshot beyond this dispatch, so it
-		// gets its own buffer (fr.Snap is a view into the read buffer).
-		if err := co.AcceptReplica(fr.Epoch, string(fr.Stream), append([]byte(nil), fr.Snap...)); err != nil {
-			return s.nack(wbuf, fr.Seq, clusterNackCode(err), err.Error())
-		}
-		s.replicas.Add(1)
-		s.acks.Add(1)
-		return wire.AppendAckFrame(wbuf, fr.Seq)
 	default: // wire.TagHandoffSnapshot
 		if err := co.AcceptHandoff(fr.Epoch, string(fr.Stream), fr.Snap); err != nil {
 			return s.nack(wbuf, fr.Seq, clusterNackCode(err), err.Error())
@@ -832,7 +820,7 @@ func (s *Server) stageFrame(cs *connState, payload []byte) {
 			runIdx: int32(len(rb.batches) - 1),
 		})
 	case wire.TagJoin, wire.TagAssign, wire.TagHandoffSnapshot,
-		wire.TagPing, wire.TagProbe, wire.TagReplicate:
+		wire.TagPing, wire.TagProbe:
 		buf.recycle()
 		// Barrier, like a flush: staged batches must reach their shards
 		// before ownership changes, so they land in the snapshot of any

@@ -1006,20 +1006,6 @@ func (c *Client) SendProbe(subject string) (ProbeResult, error) {
 	return ProbeResult{State: fr.State, Age: time.Duration(fr.AgeMs) * time.Millisecond, Known: fr.Known}, nil
 }
 
-// SendReplica ships a checkpoint snapshot to the stream's successor
-// for safekeeping and waits for the Ack. A receiver on a newer ring
-// refuses with NackStaleEpoch.
-func (c *Client) SendReplica(epoch uint64, stream string, snap []byte) error {
-	if len(c.pending) > 0 {
-		if err := c.Drain(); err != nil {
-			return err
-		}
-	}
-	c.seq++
-	c.wbuf = AppendReplicateFrame(c.wbuf[:0], c.seq, epoch, stream, snap)
-	return c.roundTrip(c.seq)
-}
-
 // Close closes the connection — and, in redirect-following mode, every
 // peer connection opened on redirects.
 func (c *Client) Close() error {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"phasekit/internal/backoff"
 )
 
 // ErrTooManyRedirects is wrapped by the error returned when a frame
@@ -30,8 +32,9 @@ var errPeerLost = errors.New("wire: peer connection lost")
 // Delivery becomes at-least-once: a frame the server applied whose ack
 // died with the connection is replayed and applied again. The policy
 // therefore fits the cluster failure model — where the lost peer
-// crashed and its successor resumes from the replicated checkpoint
-// horizon, which is exactly the client's replay point — not transient
+// crashed and the node that takes over its streams resumes from their
+// shared-store checkpoint horizon, which is exactly the client's replay
+// point — not transient
 // blips against a server that survived them.
 //
 // In redirect-following mode the policy also covers node death: when a
@@ -64,21 +67,20 @@ func (p ReconnectPolicy) withDefaults() ReconnectPolicy {
 
 // backoff returns the jittered delay before retry attempt k (0-based).
 func (c *Client) backoff(p ReconnectPolicy, k int) time.Duration {
-	d := p.Backoff << uint(k)
-	if d <= 0 || d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if half := d / 2; half > 0 {
-		if c.jit == 0 {
-			for i := 0; i < len(c.addr); i++ {
-				c.jit = c.jit*131 + uint64(c.addr[i])
-			}
-			c.jit |= 1
+	return backoff.Delay(p.Backoff, p.MaxBackoff, k, c.jitter)
+}
+
+// jitter advances the client's LCG, seeded from its address, and
+// returns the state's top 31 bits.
+func (c *Client) jitter() uint64 {
+	if c.jit == 0 {
+		for i := 0; i < len(c.addr); i++ {
+			c.jit = c.jit*131 + uint64(c.addr[i])
 		}
-		c.jit = c.jit*6364136223846793005 + 1442695040888963407
-		d = half + time.Duration(c.jit>>33)%(half+1)
+		c.jit |= 1
 	}
-	return d
+	c.jit = c.jit*6364136223846793005 + 1442695040888963407
+	return c.jit >> 33
 }
 
 func (c *Client) sleep(d time.Duration) {

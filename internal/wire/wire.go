@@ -85,14 +85,11 @@ const (
 	// detector's heartbeats (and each side's ring epoch, so a lagging
 	// or evicted node finds out from any peer it can still reach).
 	// Probe/ProbeAck ask a peer for its own view of a third node —
-	// the quorum check before a death is acted on. Replicate ships a
-	// checkpoint to the stream's successor and is answered with a
-	// plain Ack (or NackStaleEpoch).
-	TagPing      = 0x39
-	TagPingAck   = 0x3A
-	TagProbe     = 0x3B
-	TagProbeAck  = 0x3C
-	TagReplicate = 0x3D
+	// the quorum check before a death is acted on.
+	TagPing     = 0x39
+	TagPingAck  = 0x3A
+	TagProbe    = 0x3B
+	TagProbeAck = 0x3C
 )
 
 // Versions of each payload layout this package encodes and decodes.
@@ -208,7 +205,7 @@ type RingInfo struct {
 // Epoch, Stream and Snap for TagHandoffSnapshot; Epoch for
 // TagHandoffAck; Node and Epoch for TagPing, plus Member and RingHash
 // for TagPingAck; Node.ID for TagProbe, plus State/AgeMs/Known for
-// TagProbeAck; Epoch, Stream and Snap for TagReplicate.
+// TagProbeAck.
 type Frame struct {
 	Tag    byte
 	Batch  Batch
@@ -417,20 +414,6 @@ func AppendProbeAckFrame(dst []byte, seq uint64, state8 uint8, ageMs uint64, kno
 	})
 }
 
-// AppendReplicateFrame appends a framed checkpoint replica to dst. The
-// layout matches a handoff snapshot (epoch, stream, snapshot bytes) but
-// the semantics differ: the receiver stores the snapshot for possible
-// future takeover without adopting the stream.
-func AppendReplicateFrame(dst []byte, seq, epoch uint64, stream string, snap []byte) []byte {
-	return appendFrame(dst, func(e *state.Encoder) {
-		e.Section(TagReplicate, ctrlVersion)
-		e.U64(seq)
-		e.U64(epoch)
-		e.String(stream)
-		e.Blob(snap)
-	})
-}
-
 // ReadFrame reads one frame from r, reusing buf when it is large
 // enough, and returns the raw payload. maxFrame bounds the length
 // prefix before any allocation (0 means DefaultMaxFrame). io.EOF is
@@ -555,14 +538,6 @@ func DecodeFrame(payload []byte) (Frame, error) {
 		f.State = d.U8()
 		f.AgeMs = d.U64()
 		f.Known = d.Bool()
-	case TagReplicate:
-		d.Section(TagReplicate, ctrlVersion)
-		f.Seq = d.U64()
-		f.Epoch = d.U64()
-		f.Stream = d.String()
-		if b := d.Bytes(); len(b) > 0 {
-			f.Snap = append([]byte(nil), b...)
-		}
 	default:
 		return f, fmt.Errorf("%w: unknown tag %#02x", ErrMalformed, f.Tag)
 	}
@@ -666,12 +641,6 @@ func DecodeFrameView(payload []byte, events []trace.BranchEvent) (FrameView, err
 		f.State = d.U8()
 		f.AgeMs = d.U64()
 		f.Known = d.Bool()
-	case TagReplicate:
-		d.Section(TagReplicate, ctrlVersion)
-		f.Seq = d.U64()
-		f.Epoch = d.U64()
-		f.Stream = d.Bytes()
-		f.Snap = d.Bytes()
 	default:
 		return f, fmt.Errorf("%w: unknown tag %#02x", ErrMalformed, f.Tag)
 	}

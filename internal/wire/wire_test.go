@@ -157,8 +157,15 @@ func TestDecodeMalformedPreservesStream(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownTagAndTrailer(t *testing.T) {
-	if _, err := DecodeFrame([]byte{0x7f, 1, 0, 0}); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("unknown tag: %v", err)
+	// 0x3D is a retired tag: both decode paths must refuse it like any
+	// unassigned one.
+	for _, tag := range []byte{0x7f, 0x3D} {
+		if _, err := DecodeFrame([]byte{tag, 1, 0, 0}); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "unknown tag") {
+			t.Fatalf("tag %#02x: %v, want ErrMalformed unknown tag", tag, err)
+		}
+		if _, err := DecodeFrameView([]byte{tag, 1, 0, 0}, nil); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "unknown tag") {
+			t.Fatalf("tag %#02x (view): %v, want ErrMalformed unknown tag", tag, err)
+		}
 	}
 	raw := AppendAckFrame(nil, 5)
 	payload := append(raw[4:], 0xee) // trailing junk after a valid ack
