@@ -314,19 +314,13 @@ func (s *restampFailStore) List() ([]string, error) {
 	return []string{"takeover-stream"}, nil
 }
 
-// TestAdoptOrphanSkippedWhenRestampFails: an orphan whose fence
-// re-stamp cannot be made to stick must not be adopted — serving it
-// unfenced would let the old owner interleave at its old epoch. The
-// stream is left for lazy rehydration instead.
-func TestAdoptOrphanSkippedWhenRestampFails(t *testing.T) {
-	inner := &restampFailStore{MemStore: fleet.NewMemStore()}
-	// Seed the dead node's checkpoint through the embedded store
-	// directly (bypassing the read-only Save override).
-	if err := inner.MemStore.Save("takeover-stream", encodeFenced(t, 1, "", nil)); err != nil {
-		t.Fatal(err)
-	}
-	fence := NewFencedStore(inner, 1)
-	f := fleet.New(fleet.Config{Shards: 1, Tracker: coordTrackerConfig()})
+// failOverOrphan runs a takeover of "takeover-stream" over fence: a
+// two-node coordinator whose peer owns the stream fails that peer over,
+// and the test checks the stream was not adopted. It returns the
+// surviving fleet.
+func failOverOrphan(t *testing.T, fence *FencedStore, fcfg fleet.Config) *fleet.Fleet {
+	t.Helper()
+	f := fleet.New(fcfg)
 	t.Cleanup(f.Close)
 	// Both nodes at one address; the stream must belong to the dead one.
 	nodes := []Node{{ID: "n1", Addr: "127.0.0.1:1"}, {ID: "n2", Addr: "127.0.0.1:1"}}
@@ -350,11 +344,47 @@ func TestAdoptOrphanSkippedWhenRestampFails(t *testing.T) {
 	}
 	for _, s := range f.Streams() {
 		if s == "takeover-stream" {
-			t.Fatal("stream adopted despite failed fence re-stamp")
+			t.Fatal("orphan adopted although its fence could not be re-stamped")
 		}
 	}
 	if st := co.Status(); st.OrphansAdopted != 0 {
 		t.Fatalf("OrphansAdopted = %d, want 0", st.OrphansAdopted)
+	}
+	return f
+}
+
+// TestAdoptOrphanSkippedWhenRestampFails: an orphan whose fence
+// re-stamp cannot be made to stick must not be adopted — serving it
+// unfenced would let the old owner interleave at its old epoch. The
+// stream is left for lazy rehydration instead.
+func TestAdoptOrphanSkippedWhenRestampFails(t *testing.T) {
+	inner := &restampFailStore{MemStore: fleet.NewMemStore()}
+	// Seed the dead node's checkpoint through the embedded store
+	// directly (bypassing the read-only Save override).
+	if err := inner.MemStore.Save("takeover-stream", encodeFenced(t, 1, "", nil)); err != nil {
+		t.Fatal(err)
+	}
+	failOverOrphan(t, NewFencedStore(inner, 1), fleet.Config{Shards: 1, Tracker: coordTrackerConfig()})
+}
+
+// TestAdoptOrphanSkippedWhenCheckpointUnreadable: an orphan whose
+// fenced checkpoint cannot be read is not adopted either — it could
+// never be re-stamped, so every later checkpoint of it would fail. Left
+// to lazy rehydration, its first batch quarantines it with
+// ErrSnapshotCorrupt.
+func TestAdoptOrphanSkippedWhenCheckpointUnreadable(t *testing.T) {
+	inner := fleet.NewMemStore()
+	// A fence prefix cut off after its header: Load cannot decode it.
+	if err := inner.Save("takeover-stream", []byte{TagFence, fenceVersion, 1}); err != nil {
+		t.Fatal(err)
+	}
+	fence := NewFencedStore(inner, 1)
+	f := failOverOrphan(t, fence, fleet.Config{Shards: 1, Tracker: coordTrackerConfig(), Store: fence})
+	if err := f.Send(fleet.Batch{Stream: "takeover-stream", Seq: 1}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := f.StreamErr("takeover-stream"); !errors.Is(err, fleet.ErrSnapshotCorrupt) {
+		t.Fatalf("first batch: StreamErr = %v, want ErrSnapshotCorrupt", err)
 	}
 }
 

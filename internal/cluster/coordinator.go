@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"phasekit/internal/backoff"
 	"phasekit/internal/fleet"
+	"phasekit/internal/rng"
 	"phasekit/internal/wire"
 )
 
@@ -337,26 +339,30 @@ func (c *Coordinator) adoptOrphans(cur, next *Ring) {
 // served a single batch. The re-stamp gates the adoption: if it cannot
 // be made to stick (retries exhausted, or a higher epoch already owns
 // the stream), the stream is not adopted at all — serving it unfenced
-// would let a returning zombie interleave at the old epoch. A skipped
-// stream rehydrates lazily once its first batch arrives. A stream whose
-// checkpoint cannot be read (or has vanished since the listing) is
-// adopted with a nil snapshot.
+// would let a returning zombie interleave at the old epoch. Nor is a
+// stream whose checkpoint cannot be read: it could never be re-stamped,
+// and every later checkpoint of it would fail. A skipped stream
+// rehydrates lazily once its first batch arrives, where an unreadable
+// checkpoint quarantines it loudly. A stream whose checkpoint has
+// vanished since the listing is adopted with nothing to re-stamp.
 func (c *Coordinator) adoptOrphan(stream string) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opTimeout)
 	defer cancel()
 	snap, ok, err := c.fence.Load(stream)
 	if err != nil {
-		c.log("takeover %q: store read: %v", stream, err)
-	} else if ok {
+		c.log("takeover %q: store read failed, adoption skipped: %v", stream, err)
+		return
+	}
+	if ok {
+		jitter := rng.NewSplitMix64(fnvString(stream)).Uint64
 		var serr error
 		for attempt := 0; attempt < 3; attempt++ {
-			if serr = c.fence.Save(stream, snap); serr == nil {
-				break
+			if attempt > 0 {
+				time.Sleep(backoff.Delay(10*time.Millisecond, 40*time.Millisecond, attempt-1, jitter))
 			}
-			if errors.Is(serr, ErrStaleEpoch) {
-				break // a higher epoch owns it; not ours to adopt
+			if serr = c.fence.Save(stream, snap); serr == nil || errors.Is(serr, ErrStaleEpoch) {
+				break // re-stamped, or a higher epoch owns it and it is not ours to adopt
 			}
-			time.Sleep(time.Duration(attempt+1) * 10 * time.Millisecond)
 		}
 		if serr != nil {
 			c.log("takeover %q: fence re-stamp failed, adoption skipped: %v", stream, serr)

@@ -28,8 +28,8 @@ import (
 	"fmt"
 )
 
-// ErrNotOwned is returned by Send/TrySend/SendCtx for a stream that has
-// been detached (handed off to another node). Front-ends translate it
+// ErrNotOwned is returned by Send and SendCtx (and reported per batch by
+// TrySendRun) for a stream that has been detached (handed off to another node). Front-ends translate it
 // into a redirect so the producer re-homes.
 var ErrNotOwned = errors.New("fleet: stream not owned (detached)")
 

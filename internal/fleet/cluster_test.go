@@ -109,8 +109,8 @@ func TestDetachNeverSeenStreamFencesOnly(t *testing.T) {
 	if err := f.Send(Batch{Stream: "ghost"}); !errors.Is(err, ErrNotOwned) {
 		t.Fatalf("send fenced: %v", err)
 	}
-	if err := f.TrySend(Batch{Stream: "ghost"}); !errors.Is(err, ErrNotOwned) {
-		t.Fatalf("trysend fenced: %v", err)
+	if rej, err := f.TrySendRun([]Batch{{Stream: "ghost"}}, nil); err != nil || len(rej) != 1 || !errors.Is(rej[0].Err, ErrNotOwned) {
+		t.Fatalf("trysendrun fenced: %v %+v", err, rej)
 	}
 	if err := f.SendCtx(ctx, Batch{Stream: "ghost"}); !errors.Is(err, ErrNotOwned) {
 		t.Fatalf("sendctx fenced: %v", err)
@@ -234,7 +234,8 @@ func TestAdoptConflicts(t *testing.T) {
 	ctx := context.Background()
 	events, _ := synthStream(5, 100)
 	f.Send(Batch{Stream: "live", Events: events})
-	good := core.NewTracker("live", testConfig()).Snapshot()
+	bare := core.NewTracker("live", testConfig()).Snapshot()
+	good := appendSeqEnvelope(nil, 0, bare)
 
 	// Adopting a live, non-detached stream with a snapshot is a
 	// double-ownership bug and must fail.
@@ -245,15 +246,24 @@ func TestAdoptConflicts(t *testing.T) {
 	if err := f.AdoptStream(ctx, "live", nil); err != nil {
 		t.Fatalf("no-op adopt: %v", err)
 	}
-	// Corrupt snapshot refuses adoption and keeps the fence up.
+	// A corrupt snapshot, or a bare tracker snapshot without the seq
+	// envelope, refuses adoption and keeps the fence up.
 	if _, err := f.DetachStream(ctx, "live"); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AdoptStream(ctx, "live", []byte{0xde, 0xad}); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("corrupt adopt: %v", err)
-	}
-	if !f.Detached("live") {
-		t.Fatal("fence dropped despite failed adopt")
+	for _, tc := range []struct {
+		name string
+		snap []byte
+	}{
+		{"garbage", []byte{0xde, 0xad}},
+		{"bare tracker snapshot", bare},
+	} {
+		if err := f.AdoptStream(ctx, "live", tc.snap); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("%s: adopt: %v, want ErrSnapshotCorrupt", tc.name, err)
+		}
+		if !f.Detached("live") {
+			t.Fatalf("%s: fence dropped despite failed adopt", tc.name)
+		}
 	}
 	if err := f.AdoptStream(ctx, "live", good); err != nil {
 		t.Fatalf("recovering adopt: %v", err)

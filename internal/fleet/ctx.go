@@ -1,6 +1,8 @@
-// Context plumbing: ctx-aware variants of every blocking Fleet
-// operation, so network callers can bound ingestion with deadlines and
-// abandon requests without wedging a shard FIFO.
+// Context plumbing: every blocking Fleet operation is implemented once,
+// here, in a ctx-taking form, so network callers can bound ingestion
+// with deadlines and abandon requests without wedging a shard FIFO. The
+// plain names (Send, Flush, Report, ...) call these with
+// context.Background().
 //
 // The invariant that makes abandonment safe is that every reply channel
 // a shard writes to is buffered for the full number of writers, and the
@@ -17,7 +19,6 @@ import (
 	"fmt"
 
 	"phasekit/internal/core"
-	"phasekit/internal/trace"
 )
 
 // Typed cancellation classes. Ctx variants wrap one of these (plus the
@@ -42,20 +43,16 @@ func ctxFail(ctx context.Context) error {
 
 // SendCtx is Send bounded by a context: under OverloadBlock a full
 // shard queue blocks only until ctx is done, then returns ErrDeadline
-// or ErrCanceled (wrapped); under OverloadReject it behaves like Send
-// (never blocks) but still fails fast on an already-done context. A
-// quarantined stream is rejected with ErrQuarantined either way.
+// or ErrCanceled (wrapped); under OverloadReject it never blocks and
+// returns ErrOverloaded on a full queue, but still fails fast on an
+// already-done context. A quarantined stream is rejected with
+// ErrQuarantined and a detached one with ErrNotOwned either way.
 func (f *Fleet) SendCtx(ctx context.Context, b Batch) error {
 	if err := ctx.Err(); err != nil {
 		f.metrics.canceledOps.Add(1)
 		return ctxFail(ctx)
 	}
-	if f.quar != nil {
-		if err := f.quar.admit(b.Stream); err != nil {
-			return err
-		}
-	}
-	if err := f.admitOwned(b.Stream); err != nil {
+	if err := f.admit(b.Stream); err != nil {
 		return err
 	}
 	sh := f.shardFor(b.Stream)
@@ -76,11 +73,6 @@ func (f *Fleet) SendCtx(ctx context.Context, b Batch) error {
 		f.metrics.canceledOps.Add(1)
 		return ctxFail(ctx)
 	}
-}
-
-// TrackCtx is Track bounded by a context.
-func (f *Fleet) TrackCtx(ctx context.Context, stream string, events []trace.BranchEvent) error {
-	return f.SendCtx(ctx, Batch{Stream: stream, Events: events})
 }
 
 // FlushCtx is Flush bounded by a context. On cancellation it stops

@@ -199,7 +199,9 @@ type Batch struct {
 	// stream's last applied sequence is dropped as an already-applied
 	// duplicate — the dedup that turns at-least-once delivery (client
 	// reconnect replay, WAL crash replay) into exactly-once apply. 0
-	// means unstamped: the batch is always applied.
+	// means unstamped: the batch is always applied. Only in-process
+	// producers may send unstamped batches; the wire protocol refuses
+	// them at decode.
 	Seq uint64
 	// Cycles is charged to the stream's current interval before Events
 	// are applied (mirroring Tracker.Cycles before Tracker.Branch).
@@ -522,67 +524,26 @@ func (f *Fleet) shardFor(stream string) *shard {
 	return f.shards[h%uint64(len(f.shards))]
 }
 
-// Send enqueues a batch for classification. Under OverloadBlock (the
-// default) it blocks while the owning shard's queue is full and always
-// returns nil; under OverloadReject it returns ErrOverloaded instead
-// of blocking, so callers can shed load. With quarantine configured, a
-// quarantined stream's batches are rejected with ErrQuarantined before
-// they reach the shard queue. Batches for the same stream must be sent
-// in stream order (one producer per stream, or externally ordered);
-// batches for different streams may be sent concurrently. SendCtx
-// additionally bounds the blocking with a context.
-func (f *Fleet) Send(b Batch) error {
+// Send enqueues a batch for classification: SendCtx without a
+// deadline. Under OverloadBlock (the default) it blocks while the
+// owning shard's queue is full and returns nil once the batch is
+// queued; under OverloadReject it returns ErrOverloaded instead of
+// blocking, so callers can shed load. Batches for the same stream must
+// be sent in stream order (one producer per stream, or externally
+// ordered); batches for different streams may be sent concurrently.
+func (f *Fleet) Send(b Batch) error { return f.SendCtx(context.Background(), b) }
+
+// admit runs a batch's admission checks before it may be enqueued: the
+// ingest quarantine (ErrQuarantined), then the handoff fence
+// (ErrNotOwned). SendCtx and TrySendRun call it once per batch.
+func (f *Fleet) admit(stream string) error {
 	if f.quar != nil {
-		if err := f.quar.admit(b.Stream); err != nil {
+		if err := f.quar.admit(stream); err != nil {
 			return err
 		}
 	}
-	if err := f.admitOwned(b.Stream); err != nil {
-		return err
-	}
-	sh := f.shardFor(b.Stream)
-	msg := shardMsg{kind: msgBatch, batch: b}
-	if f.cfg.Overload == OverloadReject {
-		select {
-		case sh.ch <- msg:
-			return nil
-		default:
-			f.metrics.rejectedBatches.Add(1)
-			return ErrOverloaded
-		}
-	}
-	sh.ch <- msg
-	return nil
+	return f.admitOwned(stream)
 }
-
-// TrySend is the non-blocking Send: it enqueues the batch if the
-// owning shard has queue space and otherwise returns ErrOverloaded
-// immediately, regardless of the configured overload policy. It is the
-// ingest hot path for servers that want bounded-latency admission with
-// their own fallback (retry, ctx-bounded SendCtx, or load shedding) —
-// unlike SendCtx it allocates nothing on the fast path.
-func (f *Fleet) TrySend(b Batch) error {
-	if f.quar != nil {
-		if err := f.quar.admit(b.Stream); err != nil {
-			return err
-		}
-	}
-	if err := f.admitOwned(b.Stream); err != nil {
-		return err
-	}
-	select {
-	case f.shardFor(b.Stream).ch <- shardMsg{kind: msgBatch, batch: b}:
-		return nil
-	default:
-		f.metrics.rejectedBatches.Add(1)
-		return ErrOverloaded
-	}
-}
-
-// Overload returns the configured overload policy, so front-ends (the
-// ingest server) can pick the matching admission strategy without
-// carrying the Fleet configuration separately.
-func (f *Fleet) Overload() OverloadPolicy { return f.cfg.Overload }
 
 // StreamShard returns the index (in [0, Shards())) of the shard that
 // owns stream. Front-ends that batch traffic from many streams use it
@@ -616,19 +577,20 @@ type RunReject struct {
 // (group with StreamShard; mixing shards panics, since it would break
 // per-stream ordering) — as a single shard message, without blocking.
 // Relative batch order is preserved, so same-stream batches within a
-// run apply in send order, exactly as individual TrySends would.
+// run apply in send order, exactly as individual Sends would.
 // Coalescing amortizes the channel hop and, for consecutive same-stream
-// batches, the tracker lookup across a whole run.
+// batches, the tracker lookup across a whole run. It is the ingest
+// server's admission path, and allocates nothing when every batch is
+// admitted.
 //
-// Admission is per batch, exactly as TrySend: a quarantined stream's
-// batches are compacted out of the run and reported in rejected (the
-// caller keeps ownership of those). On a nil error the fleet owns the
-// admitted batches, the run slice, and calls release (if non-nil) from
-// the shard goroutine once the whole run is consumed. On ErrOverloaded
-// nothing was enqueued: the caller keeps the run slice, whose first
-// admitted batches now occupy run[:len(run)-len(rejected)], and falls
-// back to per-batch sends (which re-run admission, as a retried
-// TrySend would).
+// Admission is per batch, exactly as SendCtx: a quarantined or detached
+// stream's batches are compacted out of the run and reported in
+// rejected (the caller keeps ownership of those). On a nil error the
+// fleet owns the admitted batches, the run slice, and calls release (if
+// non-nil) from the shard goroutine once the whole run is consumed. On
+// ErrOverloaded nothing was enqueued: the caller keeps the run slice,
+// whose first admitted batches now occupy run[:len(run)-len(rejected)],
+// and falls back to per-batch sends (which re-run admission).
 func (f *Fleet) TrySendRun(run []Batch, release func()) (rejected []RunReject, err error) {
 	if len(run) == 0 {
 		return nil, nil
@@ -640,13 +602,7 @@ func (f *Fleet) TrySendRun(run []Batch, release func()) (rejected []RunReject, e
 		if i > 0 && f.StreamShard(run[i].Stream) != shardIdx {
 			panic("fleet: TrySendRun batches span shards")
 		}
-		if f.quar != nil {
-			if aerr := f.quar.admit(run[i].Stream); aerr != nil {
-				rejected = append(rejected, RunReject{Index: i, Batch: run[i], Err: aerr})
-				continue
-			}
-		}
-		if aerr := f.admitOwned(run[i].Stream); aerr != nil {
+		if aerr := f.admit(run[i].Stream); aerr != nil {
 			rejected = append(rejected, RunReject{Index: i, Batch: run[i], Err: aerr})
 			continue
 		}
@@ -665,35 +621,17 @@ func (f *Fleet) TrySendRun(run []Batch, release func()) (rejected []RunReject, e
 	}
 }
 
-// Track is shorthand for Send of a cycle-less event batch.
-func (f *Fleet) Track(stream string, events []trace.BranchEvent) error {
-	return f.Send(Batch{Stream: stream, Events: events})
-}
-
 // Flush force-closes the trailing partial interval of every stream
 // (end of program), after processing everything already enqueued. It
 // returns when all shards have flushed.
-func (f *Fleet) Flush() {
-	done := make(chan struct{}, len(f.shards))
-	for _, sh := range f.shards {
-		sh.ch <- shardMsg{kind: msgFlush, done: done}
-	}
-	for range f.shards {
-		<-done
-	}
-}
+func (f *Fleet) Flush() { f.FlushCtx(context.Background()) }
 
 // Report returns aggregate statistics for one stream, reflecting every
 // batch enqueued for it before the call. ok is false if the stream has
 // never been seen.
 func (f *Fleet) Report(stream string) (core.Report, bool) {
-	reply := make(chan shardReport, 1)
-	f.shardFor(stream).ch <- shardMsg{kind: msgReport, stream: stream, report: reply}
-	r := <-reply
-	if !r.ok {
-		return core.Report{}, false
-	}
-	return r.reports[stream], true
+	r, ok, _ := f.ReportCtx(context.Background(), stream)
+	return r, ok
 }
 
 // StreamErr returns the most recent store failure recorded for a
@@ -707,9 +645,8 @@ func (f *Fleet) Report(stream string) (core.Report, bool) {
 // Equivalently: StreamErr == nil guarantees the stream's phase
 // sequence is byte-identical to a fault-free run.
 func (f *Fleet) StreamErr(stream string) error {
-	reply := make(chan shardReport, 1)
-	f.shardFor(stream).ch <- shardMsg{kind: msgStreamErr, stream: stream, report: reply}
-	return (<-reply).err
+	err, _ := f.StreamErrCtx(context.Background(), stream)
+	return err
 }
 
 // ClassifierStats aggregates scan-index diagnostics across every

@@ -137,7 +137,7 @@ func TestSnapshotCoversAllStreams(t *testing.T) {
 	f := New(Config{Shards: 3, Tracker: testConfig()})
 	for s := 0; s < 17; s++ {
 		events, _ := synthStream(uint64(s), 600)
-		f.Track(fmt.Sprintf("stream-%02d", s), events)
+		f.Send(Batch{Stream: fmt.Sprintf("stream-%02d", s), Events: events})
 	}
 	f.Flush()
 	snap := f.Snapshot()

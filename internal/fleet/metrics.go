@@ -54,8 +54,11 @@ type MetricsSnapshot struct {
 	// DroppedBatches counts batches discarded because their stream
 	// could not be rehydrated (store unavailable or snapshot corrupt).
 	DroppedBatches uint64
-	// RejectedBatches counts Send calls refused with ErrOverloaded
-	// under the Reject overload policy.
+	// RejectedBatches counts batches refused with ErrOverloaded by a
+	// non-blocking enqueue into a full shard queue: every admitted batch
+	// of a refused TrySendRun, and every Send/SendCtx refused under the
+	// Reject overload policy. A blocking send under the Block policy
+	// never counts.
 	RejectedBatches uint64
 	// QuarantinedStreams counts streams permanently quarantined after a
 	// corrupt snapshot.

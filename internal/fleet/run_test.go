@@ -218,7 +218,7 @@ func TestTrySendRunOverload(t *testing.T) {
 	}
 	<-entered
 	for {
-		if err := f.TrySend(Batch{Stream: "s", Events: nil}); err != nil {
+		if err := f.Send(Batch{Stream: "s", Events: nil}); err != nil {
 			break
 		}
 	}

@@ -30,10 +30,10 @@ func FuzzFileStoreRecoveryScan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("setup store: %v", err)
 		}
-		valid := map[string][]byte{}   // stream -> payload that must survive
-		marks := map[string][]byte{}   // marker name -> contents that must survive
-		corrupt := map[string]bool{}   // snapshots that must be quarantined
-		orphans := 0                   // .tmp-* files that must be quarantined
+		valid := map[string][]byte{} // stream -> payload that must survive
+		marks := map[string][]byte{} // marker name -> contents that must survive
+		corrupt := map[string]bool{} // snapshots that must be quarantined
+		orphans := 0                 // .tmp-* files that must be quarantined
 		for i, b := range script {
 			name := fmt.Sprintf("s-%d", b%7) // small namespace forces collisions
 			switch b % 5 {

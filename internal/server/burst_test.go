@@ -151,11 +151,11 @@ func TestBurstOrderedResponses(t *testing.T) {
 
 	events := intervalEvents()
 	buf := []byte(wire.Magic)
-	buf = wire.AppendBatchFrame(buf, wire.Batch{Seq: 1, Stream: "s", Events: events, EndInterval: true})
+	buf = wire.AppendBatchFrame(buf, wire.Batch{Seq: 1, StreamSeq: 1, Stream: "s", Events: events, EndInterval: true})
 	junk := []byte{0x99, 0x01, 0x02} // intact framing, undecodable payload
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(junk)))
 	buf = append(buf, junk...)
-	buf = wire.AppendBatchFrame(buf, wire.Batch{Seq: 3, Stream: "s", Events: events, EndInterval: true})
+	buf = wire.AppendBatchFrame(buf, wire.Batch{Seq: 3, StreamSeq: 2, Stream: "s", Events: events, EndInterval: true})
 	buf = wire.AppendFlushFrame(buf, 4)
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatalf("write: %v", err)

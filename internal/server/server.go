@@ -396,9 +396,9 @@ const (
 	slotControl
 )
 
-// frameSlot is one burst frame's pending response, kept in arrival
-// order so the single coalesced write answers frames in the order they
-// came in — exactly what the per-frame loop would have produced.
+// frameSlot is one staged frame's pending response, kept in arrival
+// order so the pass's single coalesced write answers frames in the
+// order they came in.
 type frameSlot struct {
 	seq    uint64
 	err    error  // slotDone: ingest outcome (nil = ack)
@@ -503,11 +503,12 @@ func (cs *connState) internStream(name []byte) string {
 // per-shard runs, enqueue each run as one fleet message, and answer
 // all of the burst's frames with a single ordered write.
 //
-// Without a WAL the loop answers each pass itself, and a lone frame
-// (a synchronous client) takes the per-frame path. With a WAL every
-// pass, a lone frame included, is staged, admitted and appended, then
-// handed to the connection's responder, which commits and answers it
-// while the loop goes back to reading.
+// Every pass takes the same path, a lone frame (a synchronous client)
+// included: stage, then admit each shard's run. Without a WAL the loop
+// answers the pass itself. With one, each admitted batch is also
+// appended to its shard's log, and the pass is handed to the
+// connection's responder, which commits and answers it while the loop
+// goes back to reading.
 func (s *Server) serveConn(conn net.Conn) {
 	peer := conn.RemoteAddr()
 	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
@@ -560,35 +561,29 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		rbuf = payload[:0]
 		s.frames.Add(1)
-		if cs.pipe == nil && !s.frameBuffered(br) {
-			// Lone frame: decode, ingest, respond — what a synchronous
-			// client exercises on every frame.
-			wbuf = s.handleFrame(cs, payload, wbuf[:0])
-		} else {
+		s.stageFrame(cs, payload)
+		nframes := uint64(1)
+		for len(cs.slots) < maxBurst && s.frameBuffered(br) {
+			payload, err = wire.ReadFrame(br, rbuf, s.cfg.MaxFrame)
+			if err != nil {
+				break // unreachable: frameBuffered saw a complete frame
+			}
+			rbuf = payload[:0]
+			s.frames.Add(1)
+			nframes++
 			s.stageFrame(cs, payload)
-			nframes := uint64(1)
-			for len(cs.slots) < maxBurst && s.frameBuffered(br) {
-				payload, err = wire.ReadFrame(br, rbuf, s.cfg.MaxFrame)
-				if err != nil {
-					break // unreachable: frameBuffered saw a complete frame
-				}
-				rbuf = payload[:0]
-				s.frames.Add(1)
-				nframes++
-				s.stageFrame(cs, payload)
-			}
-			if nframes > 1 {
-				s.bursts.Add(1)
-				s.burstFrames.Add(nframes)
-			}
-			s.enqueueRuns(cs)
-			if cs.pipe != nil {
-				cs.pipe.handOff(cs)
-				continue
-			}
-			wbuf = s.appendResponses(wbuf[:0], cs.slots, cs.ctrl)
-			cs.slots, cs.ctrl = cs.slots[:0], cs.ctrl[:0]
 		}
+		if nframes > 1 {
+			s.bursts.Add(1)
+			s.burstFrames.Add(nframes)
+		}
+		s.enqueueRuns(cs)
+		if cs.pipe != nil {
+			cs.pipe.handOff(cs)
+			continue
+		}
+		wbuf = s.appendResponses(wbuf[:0], cs.slots, cs.ctrl)
+		cs.slots, cs.ctrl = cs.slots[:0], cs.ctrl[:0]
 		if len(wbuf) > 0 && !s.respond(conn, wbuf) {
 			s.dead.Add(1)
 			s.logf("conn %v: write failed", peer)
@@ -611,82 +606,6 @@ func (s *Server) frameBuffered(br *bufio.Reader) bool {
 	}
 	n := binary.LittleEndian.Uint32(hdr)
 	return int64(n) <= int64(s.cfg.MaxFrame) && br.Buffered() >= wire.FramePrefix+int(n)
-}
-
-// handleFrame decodes and dispatches one frame, returning the staged
-// response frame (empty for none). It serves only connections without
-// a WAL; with one, every frame is staged and answered by the
-// responder. The batch fast path is
-// allocation-free in steady state: the frame decodes as views into the
-// read buffer plus a pooled event slice, the stream name comes from
-// the connection's intern table, and admission goes through the
-// fleet's non-blocking TrySend. Only the contended fallback (queue
-// full under the Block policy) pays for a context.
-func (s *Server) handleFrame(cs *connState, payload, wbuf []byte) []byte {
-	buf := cs.getBuf()
-	fr, err := wire.DecodeFrameView(payload, buf.events)
-	if cap(fr.Events) > cap(buf.events) {
-		// Keep any growth DecodeFrameView did, so the buffer reaches
-		// steady-state capacity after one large batch.
-		buf.events = fr.Events[:cap(fr.Events)]
-	}
-	if err != nil {
-		buf.recycle()
-		s.malformed.Add(1)
-		if fr.Tag == wire.TagBatch && len(fr.Stream) > 0 {
-			// The framing was intact and the offender identified:
-			// charge the stream, keep the connection.
-			s.cfg.Fleet.Offense(cs.internStream(fr.Stream), err)
-		}
-		return s.nack(wbuf, fr.Seq, wire.NackMalformed, err.Error())
-	}
-	switch fr.Tag {
-	case wire.TagBatch:
-		if s.cfg.Cluster != nil {
-			if addr, remote := s.cfg.Cluster.OwnerIfRemote(fr.Stream); remote {
-				buf.recycle()
-				s.redirects.Add(1)
-				return s.nack(wbuf, fr.Seq, wire.NackRedirect, addr)
-			}
-		}
-		b := fleet.Batch{
-			Stream:      cs.internStream(fr.Stream),
-			Seq:         fr.StreamSeq,
-			Cycles:      fr.Cycles,
-			Events:      fr.Events,
-			EndInterval: fr.EndInterval,
-			Recycle:     buf.recycle,
-		}
-		err := s.cfg.Fleet.TrySend(b)
-		if errors.Is(err, fleet.ErrOverloaded) && s.cfg.Fleet.Overload() == fleet.OverloadBlock {
-			// Queue full under backpressure: wait, bounded by the
-			// ingest timeout. The slow path may allocate; it only runs
-			// when the fleet is already behind.
-			ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.IngestTimeout)
-			err = s.cfg.Fleet.SendCtx(ctx, b)
-			cancel()
-		}
-		if err != nil {
-			// The batch never reached a shard; the buffer is still ours.
-			buf.recycle()
-		}
-		return s.ingestResult(wbuf, fr.Seq, err, b.Stream)
-	case wire.TagFlush:
-		buf.recycle()
-		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.IngestTimeout)
-		err := s.cfg.Fleet.FlushCtx(ctx)
-		cancel()
-		return s.ingestResult(wbuf, fr.Seq, err, "")
-	case wire.TagJoin, wire.TagAssign, wire.TagHandoffSnapshot,
-		wire.TagPing, wire.TagProbe:
-		// fr.Stream and fr.Snap are views into payload, valid for the
-		// synchronous dispatch; buf carried no events for these tags.
-		buf.recycle()
-		return s.controlFrame(fr, wbuf)
-	}
-	// Ack/Nack from a client are protocol misuse but harmless; ignore.
-	buf.recycle()
-	return wbuf
 }
 
 // controlFrame dispatches one cluster control frame to the coordinator
@@ -765,23 +684,31 @@ func (s *Server) awaitRedirect(stream string) (addr string, ok bool) {
 	}
 }
 
-// stageFrame decodes one frame of a burst and stages its effect:
-// batches join their shard's run buffer with a pending response slot,
-// decode failures record an immediate NackMalformed slot (and charge
-// the stream, exactly as the per-frame path does), and a flush acts as
-// a barrier — everything staged before it is enqueued first, then the
-// fleet-wide flush runs. Responses are not written here; the whole
-// burst is answered later, in arrival order.
+// stageFrame decodes one frame and stages its effect: batches join
+// their shard's run buffer with a pending response slot, decode
+// failures record an immediate NackMalformed slot, and a flush or
+// control frame acts as a barrier — everything staged before it is
+// enqueued first. Responses are not written here; the whole pass is
+// answered later, in arrival order.
+//
+// The batch path allocates nothing in steady state: the frame decodes
+// as views into the read buffer plus a pooled event slice, the stream
+// name comes from the connection's intern table, and the run and
+// response-slot buffers are recycled.
 func (s *Server) stageFrame(cs *connState, payload []byte) {
 	buf := cs.getBuf()
 	fr, err := wire.DecodeFrameView(payload, buf.events)
 	if cap(fr.Events) > cap(buf.events) {
+		// Keep any growth DecodeFrameView did, so the buffer reaches
+		// steady-state capacity after one large batch.
 		buf.events = fr.Events[:cap(fr.Events)]
 	}
 	if err != nil {
 		buf.recycle()
 		s.malformed.Add(1)
 		if fr.Tag == wire.TagBatch && len(fr.Stream) > 0 {
+			// The framing was intact and the offender identified:
+			// charge the stream, keep the connection.
 			s.cfg.Fleet.Offense(cs.internStream(fr.Stream), err)
 		}
 		cs.slots = append(cs.slots, frameSlot{seq: fr.Seq, kind: slotMalformed, detail: err.Error()})
@@ -824,7 +751,8 @@ func (s *Server) stageFrame(cs *connState, payload []byte) {
 		buf.recycle()
 		// Barrier, like a flush: staged batches must reach their shards
 		// before ownership changes, so they land in the snapshot of any
-		// stream about to migrate rather than behind its fence.
+		// stream about to migrate rather than behind its fence. fr's
+		// views into payload are valid for this synchronous dispatch.
 		s.enqueueRuns(cs)
 		resp := s.controlFrame(fr, nil)
 		cs.slots = append(cs.slots, frameSlot{seq: fr.Seq, kind: slotControl, runIdx: int32(len(cs.ctrl))})
@@ -860,10 +788,11 @@ func (s *Server) enqueueRuns(cs *connState) {
 // enqueueRun sends one staged run to its shard and resolves the
 // outcome of every batch in it. On admission the fleet owns the
 // admitted batches and the run buffer (released from the shard
-// goroutine); quarantined batches come back and are nacked and
-// recycled here. A full queue falls back to per-batch sends — the
-// same TrySend-then-bounded-SendCtx ladder as the per-frame path — so
-// coalescing never changes which outcomes a client can observe.
+// goroutine); refused batches (quarantined, or detached) come back and
+// are nacked and recycled here. A full queue falls back to per-batch
+// sends bounded by the ingest timeout: a wait under the Block overload
+// policy, one more try under Reject. The fallback runs only when the
+// fleet is already behind, so it may allocate.
 func (s *Server) enqueueRun(cs *connState, shard int32, rb *runBuf) {
 	n := len(rb.batches)
 	if s.cfg.WAL != nil {
@@ -910,12 +839,9 @@ func (s *Server) enqueueRun(cs *connState, shard int32, rb *runBuf) {
 			}
 			b := admitted[k]
 			k++
-			berr := s.cfg.Fleet.TrySend(b)
-			if errors.Is(berr, fleet.ErrOverloaded) && s.cfg.Fleet.Overload() == fleet.OverloadBlock {
-				ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.IngestTimeout)
-				berr = s.cfg.Fleet.SendCtx(ctx, b)
-				cancel()
-			}
+			ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.IngestTimeout)
+			berr := s.cfg.Fleet.SendCtx(ctx, b)
+			cancel()
 			if berr != nil {
 				if b.Recycle != nil {
 					b.Recycle() // never reached a shard; the buffer is ours

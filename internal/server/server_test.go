@@ -151,7 +151,7 @@ func TestSlowLorisIsCutOff(t *testing.T) {
 	if _, err := conn.Write([]byte(wire.Magic)); err != nil {
 		t.Fatalf("magic: %v", err)
 	}
-	frame := wire.AppendBatchFrame(nil, wire.Batch{Seq: 1, Stream: "s", Events: intervalEvents()})
+	frame := wire.AppendBatchFrame(nil, wire.Batch{Seq: 1, StreamSeq: 1, Stream: "s", Events: intervalEvents()})
 	conn.Write(frame) // the server should cut us off mid-write or on read
 	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var b [1]byte
@@ -174,7 +174,7 @@ func TestTornFrameDropsConnection(t *testing.T) {
 	// Tear the first frame write: the length prefix promises more bytes
 	// than ever arrive, then the connection closes mid-frame.
 	conn := faults.WrapNetConn(raw, faults.NetSchedule{TearWriteNth: 1})
-	frame := wire.AppendBatchFrame(nil, wire.Batch{Seq: 1, Stream: "torn", Events: intervalEvents()})
+	frame := wire.AppendBatchFrame(nil, wire.Batch{Seq: 1, StreamSeq: 1, Stream: "torn", Events: intervalEvents()})
 	conn.Write(frame)
 	if !conn.Cut() {
 		t.Fatal("fault injector did not cut the connection")
@@ -193,7 +193,7 @@ func TestMidFrameDisconnectDropsConnection(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer raw.Close()
-	frame := wire.AppendBatchFrame([]byte(wire.Magic), wire.Batch{Seq: 1, Stream: "s", Events: intervalEvents()})
+	frame := wire.AppendBatchFrame([]byte(wire.Magic), wire.Batch{Seq: 1, StreamSeq: 1, Stream: "s", Events: intervalEvents()})
 	// Cut after the magic plus half the frame.
 	conn := faults.WrapNetConn(raw, faults.NetSchedule{CutAfterBytes: len(wire.Magic) + (len(frame)-len(wire.Magic))/2})
 	if _, err := conn.Write(frame); !errors.Is(err, net.ErrClosed) {
@@ -234,7 +234,7 @@ func TestOversizedFrameNackedAndDropped(t *testing.T) {
 // the stream name and then fails (event count promises more bytes than
 // the payload holds).
 func corruptBatchFrame(stream string) []byte {
-	frame := wire.AppendBatchFrame(nil, wire.Batch{Seq: 1, Stream: stream,
+	frame := wire.AppendBatchFrame(nil, wire.Batch{Seq: 1, StreamSeq: 1, Stream: stream,
 		Events: []trace.BranchEvent{{PC: 1, Instrs: 1}}})
 	// Event count field: len prefix(4) + section(2) + seq(8) +
 	// streamSeq(8) + string(4+len) + cycles(8) + bool(1).
@@ -272,19 +272,22 @@ func TestMalformedPayloadQuarantinesStream(t *testing.T) {
 		return fr
 	}
 
-	// Two malformed-but-framed batches: NACKed, connection survives,
+	// Two malformed-but-framed batches — a corrupt payload and an
+	// unstamped one (stream sequence 0) — NACKed, connection survives,
 	// offenses charged to the stream.
-	for i := 0; i < 2; i++ {
-		if _, err := conn.Write(corruptBatchFrame("evil")); err != nil {
-			t.Fatalf("write corrupt frame: %v", err)
+	unstamped := wire.AppendBatchFrame(nil, wire.Batch{Seq: 2, Stream: "evil",
+		Events: []trace.BranchEvent{{PC: 1, Instrs: 1}}})
+	for i, frame := range [][]byte{corruptBatchFrame("evil"), unstamped} {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatalf("write malformed frame %d: %v", i, err)
 		}
 		if fr := readResp(); fr.Tag != wire.TagNack || fr.Code != wire.NackMalformed {
-			t.Fatalf("corrupt frame %d: %+v, want malformed NACK", i, fr)
+			t.Fatalf("malformed frame %d: %+v, want malformed NACK", i, fr)
 		}
 	}
 	// The stream is now quarantined: even a perfectly valid batch is
 	// refused, on the same (surviving) connection.
-	if _, err := conn.Write(wire.AppendBatchFrame(nil, wire.Batch{Seq: 3, Stream: "evil",
+	if _, err := conn.Write(wire.AppendBatchFrame(nil, wire.Batch{Seq: 3, StreamSeq: 1, Stream: "evil",
 		Events: []trace.BranchEvent{{PC: 1, Instrs: 1}}})); err != nil {
 		t.Fatalf("write valid frame: %v", err)
 	}
@@ -295,7 +298,7 @@ func TestMalformedPayloadQuarantinesStream(t *testing.T) {
 		t.Fatalf("QuarantineErr: %v", qerr)
 	}
 	// A sibling stream on the same connection is untouched.
-	if _, err := conn.Write(wire.AppendBatchFrame(nil, wire.Batch{Seq: 4, Stream: "good",
+	if _, err := conn.Write(wire.AppendBatchFrame(nil, wire.Batch{Seq: 4, StreamSeq: 1, Stream: "good",
 		Events: []trace.BranchEvent{{PC: 1, Instrs: 1}}})); err != nil {
 		t.Fatalf("write sibling frame: %v", err)
 	}

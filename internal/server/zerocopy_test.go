@@ -1,11 +1,12 @@
 package server
 
-// Zero-copy ingest pins: the per-frame server hot path (wire decode →
-// fleet enqueue → staged ack) must not allocate in steady state, and
-// the zero-copy view decode must drive the fleet to byte-identical
+// Zero-copy ingest pins: the server's ingest path (wire decode →
+// staged run → fleet enqueue → ack) must not allocate in steady state,
+// and the zero-copy view decode must drive the fleet to byte-identical
 // phase sequences as the copying reference decode.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -17,11 +18,23 @@ import (
 	"phasekit/internal/wire"
 )
 
-// TestHandleFrameZeroAlloc pins the full per-frame ingest path —
-// DecodeFrameView into a pooled buffer, stream-name interning,
-// TrySend, ack encoding — at zero allocations per frame once the
-// connection's buffer pool has warmed up.
-func TestHandleFrameZeroAlloc(t *testing.T) {
+// servePass runs one WAL-off read-loop pass over a lone frame's
+// payload, as serveConn does — stage the frame, enqueue the staged
+// run, encode the response — and returns the response.
+func servePass(s *Server, cs *connState, wbuf, payload []byte) []byte {
+	s.stageFrame(cs, payload)
+	s.enqueueRuns(cs)
+	wbuf = s.appendResponses(wbuf, cs.slots, cs.ctrl)
+	cs.slots, cs.ctrl = cs.slots[:0], cs.ctrl[:0]
+	return wbuf
+}
+
+// TestLoneFrameZeroAlloc pins the WAL-off path of a lone frame, which
+// is a one-frame pass of the staged path — DecodeFrameView into a
+// pooled buffer, stream-name interning, a one-batch TrySendRun, ack
+// encoding — at zero allocations per frame once the connection's pools
+// have warmed up.
+func TestLoneFrameZeroAlloc(t *testing.T) {
 	f := fleet.New(fleet.Config{Shards: 1, QueueDepth: eventBufs, Tracker: testTrackerConfig()})
 	defer f.Close()
 	s, err := New(Config{Fleet: f})
@@ -31,14 +44,17 @@ func TestHandleFrameZeroAlloc(t *testing.T) {
 
 	events := intervalEvents()
 	payload := wire.AppendBatchFrame(nil, wire.Batch{
-		Seq: 7, Stream: "alloc-pin", Cycles: 12_000, EndInterval: true, Events: events,
-	})[4:] // strip the length prefix: handleFrame takes the payload
+		Seq: 7, StreamSeq: 1, Stream: "alloc-pin", Cycles: 12_000, EndInterval: true, Events: events,
+	})[4:] // strip the length prefix: stageFrame takes the payload
 
 	cs := newConnState(f.Shards())
 	wbuf := make([]byte, 0, 256)
+	var streamSeq uint64
 	frame := func() {
-		if out := s.handleFrame(cs, payload, wbuf[:0]); len(out) == 0 {
-			t.Fatal("no response staged")
+		streamSeq++
+		restamp(payload, streamSeq)
+		if wbuf = servePass(s, cs, wbuf[:0], payload); len(wbuf) == 0 {
+			t.Fatal("no response encoded")
 		}
 	}
 	for i := 0; i < 2*eventBufs; i++ {
@@ -50,8 +66,15 @@ func TestHandleFrameZeroAlloc(t *testing.T) {
 	// it would grow the pool, which is expected producer-outruns-
 	// consumer behaviour, not a per-frame allocation.
 	if allocs := testing.AllocsPerRun(eventBufs/2, frame); allocs != 0 {
-		t.Fatalf("handleFrame allocates %v per frame in steady state, want 0", allocs)
+		t.Fatalf("lone-frame ingest allocates %v per frame in steady state, want 0", allocs)
 	}
+}
+
+// restamp writes seq as a batch payload's stream sequence, in place
+// (it follows the section header and the connection seq), so a reused
+// payload is applied each time rather than dropped as a duplicate.
+func restamp(payload []byte, seq uint64) {
+	binary.LittleEndian.PutUint64(payload[2+8:], seq)
 }
 
 // fillPools tops the connection's freelists up to capacity with
@@ -107,7 +130,10 @@ func TestWALIngestPathZeroAlloc(t *testing.T) {
 	w := newCommitWindow(1)
 	var taken []*pendingBurst
 	wbuf := make([]byte, 0, 256)
+	var streamSeq uint64
 	frame := func() {
+		streamSeq++
+		restamp(payload, streamSeq)
 		s.stageFrame(cs, payload)
 		s.enqueueRuns(cs)
 		cs.pipe.handOff(cs)
@@ -128,9 +154,10 @@ func TestWALIngestPathZeroAlloc(t *testing.T) {
 }
 
 // TestZeroCopyDecodeGolden drives two identical fleets — one through
-// the zero-copy server path (DecodeFrameView + pooled buffers +
-// TrySend), one through the copying reference decode (DecodeFrame +
-// Send) — and requires byte-identical per-stream phase sequences.
+// the server's ingest path, a frame per pass (DecodeFrameView + pooled
+// buffers + TrySendRun), one through the copying reference decode
+// (DecodeFrame + Send) — and requires byte-identical per-stream phase
+// sequences.
 func TestZeroCopyDecodeGolden(t *testing.T) {
 	type obs struct {
 		mu   sync.Mutex
@@ -172,6 +199,7 @@ func TestZeroCopyDecodeGolden(t *testing.T) {
 			}
 			b := wire.Batch{
 				Seq:         uint64(round),
+				StreamSeq:   uint64(round + 1),
 				Stream:      stream,
 				Cycles:      uint64(5_000 + 1_000*si),
 				EndInterval: round%5 == 4,
@@ -179,9 +207,9 @@ func TestZeroCopyDecodeGolden(t *testing.T) {
 			}
 			payload := wire.AppendBatchFrame(nil, b)[4:]
 
-			// Zero-copy path: through the server's frame handler.
-			if out := s.handleFrame(cs, payload, wbuf[:0]); len(out) == 0 {
-				t.Fatal("no response staged")
+			// Zero-copy path: through the server's ingest path.
+			if wbuf = servePass(s, cs, wbuf[:0], payload); len(wbuf) == 0 {
+				t.Fatal("no response encoded")
 			}
 
 			// Reference path: copying decode, blocking send.
@@ -219,8 +247,9 @@ func TestZeroCopyDecodeGolden(t *testing.T) {
 func TestDecodeFrameViewMatchesDecodeFrame(t *testing.T) {
 	events := intervalEvents()
 	payloads := [][]byte{
-		wire.AppendBatchFrame(nil, wire.Batch{Seq: 1, Stream: "s", Cycles: 9, EndInterval: true, Events: events})[4:],
-		wire.AppendBatchFrame(nil, wire.Batch{Seq: 2, Stream: "", Events: nil})[4:],
+		wire.AppendBatchFrame(nil, wire.Batch{Seq: 1, StreamSeq: 1, Stream: "s", Cycles: 9, EndInterval: true, Events: events})[4:],
+		wire.AppendBatchFrame(nil, wire.Batch{Seq: 2, StreamSeq: 1, Stream: "", Events: nil})[4:],
+		wire.AppendBatchFrame(nil, wire.Batch{Seq: 3, Stream: "unstamped", Events: events})[4:],
 		wire.AppendFlushFrame(nil, 3)[4:],
 		wire.AppendAckFrame(nil, 4)[4:],
 		wire.AppendNackFrame(nil, 5, wire.NackOverload, "busy")[4:],

@@ -93,20 +93,20 @@ func (rt *router) retain(frame []byte) []byte {
 // client stays zero-retention: a REDIRECT surfaces as a plain
 // *NackError.
 type Client struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	wbuf    []byte
-	rbuf    []byte
-	seq     uint64
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	wbuf []byte
+	rbuf []byte
+	seq  uint64
 	// streamSeq holds per-stream batch sequence counters (stamped as
 	// Batch.StreamSeq). Counters live on the primary client in
 	// redirect-following mode so a stream keeps one monotonic sequence
 	// even as redirects move it between connections.
 	streamSeq map[string]uint64
 	addr      string
-	pending []inflight
-	rt      *router // nil unless FollowRedirects was called
+	pending   []inflight
+	rt        *router // nil unless FollowRedirects was called
 	// Timeout bounds each request/response round trip via connection
 	// deadlines. 0 means no deadline.
 	Timeout time.Duration
@@ -943,7 +943,7 @@ func (c *Client) SendHandoff(epoch uint64, stream string, snap []byte) error {
 
 // PingResult is a peer's answer to a heartbeat: its identity, the ring
 // epoch it follows, whether it still counts the pinger a member, and
-// its ring's membership hash (0 from a peer that does not send one).
+// its ring's membership hash.
 type PingResult struct {
 	Node     NodeInfo
 	Epoch    uint64

@@ -14,7 +14,7 @@ import (
 // allocation beyond the guard (the returned payload is bounded), and
 // every accepted batch re-encodes to a decodable frame.
 func FuzzWireFrame(f *testing.F) {
-	f.Add(AppendBatchFrame(nil, Batch{Seq: 1, Stream: "s", Cycles: 9, EndInterval: true,
+	f.Add(AppendBatchFrame(nil, Batch{Seq: 1, StreamSeq: 1, Stream: "s", Cycles: 9, EndInterval: true,
 		Events: []trace.BranchEvent{{PC: 0x400000, Instrs: 50}}}))
 	f.Add(AppendFlushFrame(nil, 2))
 	f.Add(AppendAckFrame(nil, 3))

@@ -15,7 +15,7 @@
 //	Batch v2: seq u64, streamSeq u64, stream string, cycles u64,
 //	          endInterval bool,
 //	          events u32 count + (pc u64, instrs u32) each
-//	          (v1 omitted streamSeq; it decodes as streamSeq 0)
+//	          (streamSeq >= 1: an unstamped batch is malformed)
 //	Flush v1: seq u64
 //	Ack   v1: seq u64
 //	Nack  v1: seq u64, code u8, detail string
@@ -93,16 +93,16 @@ const (
 )
 
 // Versions of each payload layout this package encodes and decodes.
+// Each payload kind has exactly one layout: a section at any other
+// version is malformed.
 const (
 	// batchVersion 2 added the client's per-stream sequence number
 	// right after the connection seq, so the connection-seq patching
-	// done on redirect/replay never touches it. A v1 batch still
-	// decodes (streamSeq 0 = unstamped, always applied).
+	// done on redirect/replay never touches it.
 	batchVersion = 2
 	ctrlVersion  = 1
 	// pingAckVersion 2 added the responder's ring membership hash, so a
-	// pinger can detect that two rings at the same epoch disagree. A v1
-	// ack still decodes (hash 0 = unknown; Ring.Hash is never zero).
+	// pinger can detect that two rings at the same epoch disagree.
 	pingAckVersion = 2
 )
 
@@ -176,7 +176,7 @@ type Batch struct {
 	// and redirect), it identifies the batch itself: the server drops a
 	// batch whose StreamSeq it has already applied, turning the
 	// reconnect policy's at-least-once replay into exactly-once apply.
-	// 0 means unstamped — always applied, the pre-v2 behavior.
+	// A batch frame without one (StreamSeq 0) fails to decode.
 	StreamSeq   uint64
 	Stream      string
 	Cycles      uint64
@@ -459,11 +459,11 @@ func DecodeFrame(payload []byte) (Frame, error) {
 	d := state.NewDecoder(payload)
 	switch f.Tag {
 	case TagBatch:
-		v := d.Section(TagBatch, batchVersion)
-		f.Batch.Seq = d.U64()
-		if v >= 2 {
-			f.Batch.StreamSeq = d.U64()
+		if v := d.Section(TagBatch, batchVersion); v != 0 && v != batchVersion {
+			return f, oldVersion(TagBatch, v, batchVersion)
 		}
+		f.Batch.Seq = d.U64()
+		f.Batch.StreamSeq = d.U64()
 		f.Batch.Stream = d.String()
 		f.Batch.Cycles = d.U64()
 		f.Batch.EndInterval = d.Bool()
@@ -519,15 +519,15 @@ func DecodeFrame(payload []byte) (Frame, error) {
 		f.Node.Addr = d.String()
 		f.Epoch = d.U64()
 	case TagPingAck:
-		v := d.Section(TagPingAck, pingAckVersion)
+		if v := d.Section(TagPingAck, pingAckVersion); v != 0 && v != pingAckVersion {
+			return f, oldVersion(TagPingAck, v, pingAckVersion)
+		}
 		f.Seq = d.U64()
 		f.Node.ID = d.String()
 		f.Node.Addr = d.String()
 		f.Epoch = d.U64()
 		f.Member = d.Bool()
-		if v >= 2 {
-			f.RingHash = d.U64()
-		}
+		f.RingHash = d.U64()
 	case TagProbe:
 		d.Section(TagProbe, ctrlVersion)
 		f.Seq = d.U64()
@@ -543,6 +543,9 @@ func DecodeFrame(payload []byte) (Frame, error) {
 	}
 	if err := d.Finish(); err != nil {
 		return f, fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	if f.Tag == TagBatch && f.Batch.StreamSeq == 0 {
+		return f, errUnstamped
 	}
 	return f, nil
 }
@@ -563,11 +566,11 @@ func DecodeFrameView(payload []byte, events []trace.BranchEvent) (FrameView, err
 	d := state.NewDecoder(payload)
 	switch f.Tag {
 	case TagBatch:
-		v := d.Section(TagBatch, batchVersion)
-		f.Seq = d.U64()
-		if v >= 2 {
-			f.StreamSeq = d.U64()
+		if v := d.Section(TagBatch, batchVersion); v != 0 && v != batchVersion {
+			return f, oldVersion(TagBatch, v, batchVersion)
 		}
+		f.Seq = d.U64()
+		f.StreamSeq = d.U64()
 		f.Stream = d.Bytes()
 		f.Cycles = d.U64()
 		f.EndInterval = d.Bool()
@@ -622,15 +625,15 @@ func DecodeFrameView(payload []byte, events []trace.BranchEvent) (FrameView, err
 		f.Node.Addr = d.String()
 		f.Epoch = d.U64()
 	case TagPingAck:
-		v := d.Section(TagPingAck, pingAckVersion)
+		if v := d.Section(TagPingAck, pingAckVersion); v != 0 && v != pingAckVersion {
+			return f, oldVersion(TagPingAck, v, pingAckVersion)
+		}
 		f.Seq = d.U64()
 		f.Node.ID = d.String()
 		f.Node.Addr = d.String()
 		f.Epoch = d.U64()
 		f.Member = d.Bool()
-		if v >= 2 {
-			f.RingHash = d.U64()
-		}
+		f.RingHash = d.U64()
 	case TagProbe:
 		d.Section(TagProbe, ctrlVersion)
 		f.Seq = d.U64()
@@ -647,5 +650,20 @@ func DecodeFrameView(payload []byte, events []trace.BranchEvent) (FrameView, err
 	if err := d.Finish(); err != nil {
 		return f, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
+	if f.Tag == TagBatch && f.StreamSeq == 0 {
+		return f, errUnstamped
+	}
 	return f, nil
+}
+
+// errUnstamped refuses a batch frame without a stream sequence: the
+// server's duplicate check needs one on every wire batch, so exactly-
+// once apply has no exception. The stream name survives in the decoded
+// frame, so the server still charges the offense to it.
+var errUnstamped = fmt.Errorf("%w: batch without a stream sequence", ErrMalformed)
+
+// oldVersion refuses a section at a layout version other than the one
+// this package speaks.
+func oldVersion(tag, v, want byte) error {
+	return fmt.Errorf("%w: section %#02x version %d, want %d", ErrMalformed, tag, v, want)
 }

@@ -14,6 +14,7 @@ import (
 func testBatch() Batch {
 	return Batch{
 		Seq:         42,
+		StreamSeq:   9,
 		Stream:      "tenant-7",
 		Cycles:      123456,
 		EndInterval: true,
@@ -41,8 +42,8 @@ func roundTrip(t *testing.T, raw []byte) Frame {
 func TestBatchFrameRoundTrip(t *testing.T) {
 	want := testBatch()
 	f := roundTrip(t, AppendBatchFrame(nil, want))
-	if f.Tag != TagBatch || f.Seq != want.Seq {
-		t.Fatalf("tag/seq: %#02x/%d", f.Tag, f.Seq)
+	if f.Tag != TagBatch || f.Seq != want.Seq || f.Batch.StreamSeq != want.StreamSeq {
+		t.Fatalf("tag/seq/streamSeq: %#02x/%d/%d", f.Tag, f.Seq, f.Batch.StreamSeq)
 	}
 	got := f.Batch
 	if got.Stream != want.Stream || got.Cycles != want.Cycles || got.EndInterval != want.EndInterval {
@@ -59,7 +60,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 }
 
 func TestEmptyBatchRoundTrip(t *testing.T) {
-	f := roundTrip(t, AppendBatchFrame(nil, Batch{Seq: 1, Stream: "s"}))
+	f := roundTrip(t, AppendBatchFrame(nil, Batch{Seq: 1, StreamSeq: 1, Stream: "s"}))
 	if len(f.Batch.Events) != 0 || f.Batch.EndInterval {
 		t.Fatalf("empty batch decoded as %+v", f.Batch)
 	}
@@ -174,6 +175,60 @@ func TestDecodeRejectsUnknownTagAndTrailer(t *testing.T) {
 	}
 	if _, err := DecodeFrame(nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("nil payload: %v", err)
+	}
+}
+
+// TestDecodeRejectsRetiredLayouts pins that every payload kind has one
+// layout: a v1 batch (no stream sequence), a v1 ping-ack (no ring
+// hash) and a current-layout batch whose stream sequence is 0 are all
+// malformed, through both decoders — and the batch refusals still name
+// the stream, so the server can charge it the offense.
+func TestDecodeRejectsRetiredLayouts(t *testing.T) {
+	v1Batch := []byte{TagBatch, 1}
+	v1Batch = binary.LittleEndian.AppendUint64(v1Batch, 7) // seq
+	v1Batch = binary.LittleEndian.AppendUint32(v1Batch, 1) // stream
+	v1Batch = append(v1Batch, 's')
+	v1Batch = binary.LittleEndian.AppendUint64(v1Batch, 0) // cycles
+	v1Batch = append(v1Batch, 0)                           // endInterval
+	v1Batch = binary.LittleEndian.AppendUint32(v1Batch, 0) // no events
+
+	v1PingAck := []byte{TagPingAck, 1}
+	v1PingAck = binary.LittleEndian.AppendUint64(v1PingAck, 8) // seq
+	v1PingAck = binary.LittleEndian.AppendUint32(v1PingAck, 2) // id
+	v1PingAck = append(v1PingAck, 'n', '1')
+	v1PingAck = binary.LittleEndian.AppendUint32(v1PingAck, 0) // addr
+	v1PingAck = binary.LittleEndian.AppendUint64(v1PingAck, 3) // epoch
+	v1PingAck = append(v1PingAck, 1)                           // member
+
+	unstamped := AppendBatchFrame(nil, Batch{Seq: 9, Stream: "s"})[lenSize:]
+
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		stream  string // the stream the refusal must still name
+	}{
+		{"v1 batch", v1Batch, ""},
+		{"v1 ping-ack", v1PingAck, ""},
+		{"unstamped batch", unstamped, "s"},
+	} {
+		f, err := DecodeFrame(tc.payload)
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: DecodeFrame: %v, want ErrMalformed", tc.name, err)
+		}
+		if f.Batch.Stream != tc.stream {
+			t.Fatalf("%s: DecodeFrame stream %q, want %q", tc.name, f.Batch.Stream, tc.stream)
+		}
+		v, err := DecodeFrameView(tc.payload, nil)
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: DecodeFrameView: %v, want ErrMalformed", tc.name, err)
+		}
+		if string(v.Stream) != tc.stream {
+			t.Fatalf("%s: DecodeFrameView stream %q, want %q", tc.name, v.Stream, tc.stream)
+		}
+	}
+	// The current ping-ack layout still decodes.
+	if f := roundTrip(t, AppendPingAckFrame(nil, 8, NodeInfo{ID: "n1"}, 3, true, 0xfeed)); f.Tag != TagPingAck || f.RingHash != 0xfeed {
+		t.Fatalf("ping-ack: %+v", f)
 	}
 }
 

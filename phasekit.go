@@ -35,6 +35,10 @@
 //	f.Flush()
 //	report, ok := f.Report("tenant-1")
 //
+// Each Fleet verb has one implementation, its ctx form (SendCtx,
+// FlushCtx, ReportCtx, ...); Send, Flush and Report are that form
+// without a deadline.
+//
 // Synthetic workloads modelled on the paper's SPEC2000 benchmarks are
 // available through Workloads and GenerateWorkload, and the full
 // evaluation harness behind cmd/experiments regenerates every figure
@@ -87,9 +91,10 @@ type Tracker = core.Tracker
 // stream IDs are hashed onto shards, each shard's worker goroutine
 // exclusively owns its streams' Trackers, and ingestion is batched
 // through bounded queues with backpressure. All Fleet methods are safe
-// for concurrent use, and every blocking operation has a ctx-aware
-// variant (SendCtx, FlushCtx, SnapshotCtx, CheckpointCtx, ...) that
-// honours cancellation and deadlines with ErrCanceled/ErrDeadline.
+// for concurrent use. Every blocking operation is implemented once, as
+// a ctx form (SendCtx, FlushCtx, ReportCtx, StreamErrCtx, SnapshotCtx,
+// CheckpointCtx) that honours cancellation and deadlines with
+// ErrCanceled/ErrDeadline; the plain name calls it without a deadline.
 // See internal/fleet for the concurrency model.
 type Fleet = fleet.Fleet
 
