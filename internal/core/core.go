@@ -18,6 +18,7 @@ import (
 	"phasekit/internal/classifier"
 	"phasekit/internal/predictor"
 	"phasekit/internal/signature"
+	"phasekit/internal/state"
 	"phasekit/internal/stats"
 	"phasekit/internal/trace"
 )
@@ -134,12 +135,17 @@ type engine struct {
 	length *predictor.LengthPredictor
 	index  int
 
-	collect Report
-	// samples is indexed by phase ID (IDs are small and dense: 0 is the
-	// transition phase, real IDs count up from 1), replacing a map
-	// assignment per interval with a slice append.
-	samples [][]float64
-	ids     []int
+	// Report state is O(phases), not O(intervals). collect holds the
+	// interval counts and the closed runs' length summaries; phases
+	// summarises each phase ID's CPI (IDs are small and dense: 0 is the
+	// transition phase, real IDs count up from 1), whole every
+	// interval's CPI in interval order, and runPhase/runLen the run
+	// still open.
+	collect  Report
+	phases   []stats.Running
+	whole    stats.Running
+	runPhase int
+	runLen   int
 
 	// sigBuf is the reusable compression buffer: the classifier copies
 	// or clones any signature it retains, so one buffer serves every
@@ -179,11 +185,17 @@ func (e *engine) observe(sig signature.Vector, cpi float64) classifier.Result {
 	e.length.Observe(res.PhaseID)
 	e.index++
 
-	for res.PhaseID >= len(e.samples) {
-		e.samples = append(e.samples, nil)
+	for res.PhaseID >= len(e.phases) {
+		e.phases = append(e.phases, stats.Running{})
 	}
-	e.samples[res.PhaseID] = append(e.samples[res.PhaseID], cpi)
-	e.ids = append(e.ids, res.PhaseID)
+	e.phases[res.PhaseID].Add(cpi)
+	e.whole.Add(cpi)
+	if e.runLen > 0 && res.PhaseID != e.runPhase {
+		closeRun(&e.collect, e.runPhase, e.runLen)
+		e.runLen = 0
+	}
+	e.runPhase = res.PhaseID
+	e.runLen++
 	if res.PhaseID == classifier.TransitionPhase {
 		e.collect.TransitionIntervals++
 	}
@@ -257,34 +269,28 @@ func (r Report) LastValueMissRate() float64 {
 	return float64(r.Change.Changes) / float64(r.Intervals-1)
 }
 
-// report finalizes aggregate statistics.
+// closeRun folds a finished run of length n in phase into r's
+// run-length summaries.
+func closeRun(r *Report, phase, n int) {
+	if phase == classifier.TransitionPhase {
+		r.TransitionRuns.Add(float64(n))
+	} else {
+		r.StableRuns.Add(float64(n))
+	}
+}
+
+// report finalizes aggregate statistics. The open run is closed into
+// the copy being returned, never into the engine, so a mid-run Report
+// leaves every later interval and Report unchanged.
 func (e *engine) report(name string) Report {
 	r := e.collect
 	r.Name = name
 	r.PhaseIDs = e.cls.PhaseIDs()
-	// Rebuild the map form PhaseCoV expects from the dense slice; only
-	// observed phases get a key, matching the map the engine used to
-	// maintain per interval.
-	byPhase := make(map[int][]float64, len(e.samples))
-	for id, xs := range e.samples {
-		if len(xs) > 0 {
-			byPhase[id] = xs
-		}
+	r.PhaseCoV = stats.PhaseCoVSummaries(e.phases, classifier.TransitionPhase)
+	r.WholeCoV = e.whole.CoV()
+	if e.runLen > 0 {
+		closeRun(&r, e.runPhase, e.runLen)
 	}
-	r.PhaseCoV = stats.PhaseCoV(byPhase, classifier.TransitionPhase)
-	// Ascending phase order keeps the running-sum floating-point result
-	// deterministic (Report must be bit-deterministic for a given
-	// input); the slice index order is already sorted.
-	var whole stats.Running
-	for _, xs := range e.samples {
-		for _, x := range xs {
-			whole.Add(x)
-		}
-	}
-	r.WholeCoV = whole.CoV()
-	runs := stats.RunLengths(e.ids)
-	r.StableRuns = stats.LengthStats(runs, func(v int) bool { return v != classifier.TransitionPhase })
-	r.TransitionRuns = stats.LengthStats(runs, func(v int) bool { return v == classifier.TransitionPhase })
 	r.NextPhase = e.np.NextStats()
 	r.Change = e.np.ChangeStats()
 	r.ChangeOutcome = e.chg.ChangeStats()
@@ -305,6 +311,9 @@ type Tracker struct {
 	limit  uint64
 	cycles uint64
 	name   string
+	// cfgEnc is the configuration's snapshot encoding, computed once:
+	// every snapshot embeds it and every restore compares against it.
+	cfgEnc []byte
 	// res is the buffer Branch and Flush return a pointer into. Keeping
 	// the ~140-byte IntervalResult out of the return value makes the
 	// per-branch fast path two register stores instead of a duffzero of
@@ -315,11 +324,15 @@ type Tracker struct {
 // NewTracker returns a tracker for cfg. It panics on invalid
 // configurations.
 func NewTracker(name string, cfg Config) *Tracker {
+	eng := newEngine(cfg)
+	enc := state.AppendTo(nil)
+	encodeConfig(enc, cfg)
 	return &Tracker{
-		eng:   newEngine(cfg),
-		acc:   signature.NewAccumulator(cfg.Dims),
-		limit: cfg.IntervalInstrs,
-		name:  name,
+		eng:    eng,
+		acc:    signature.NewAccumulator(cfg.Dims),
+		limit:  cfg.IntervalInstrs,
+		name:   name,
+		cfgEnc: enc.Bytes(),
 	}
 }
 

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 
 	"phasekit/internal/predictor"
 	"phasekit/internal/signature"
 	"phasekit/internal/state"
+	"phasekit/internal/stats"
 )
 
 // The tracker state format: the 4-byte magic identifies a phasekit
@@ -29,7 +29,11 @@ const (
 const (
 	trackerVersion = 1
 	configVersion  = 1
-	engineVersion  = 1
+	// engineVersion 2 replaced v1's verbatim per-interval history with
+	// O(phases) summaries. The reader refuses v1 rather than accepting
+	// [1, current] as other sections do: the two layouts share no
+	// fields past the interval counts, and v1 was never deployed.
+	engineVersion = 2
 )
 
 // encodeConfig writes every field of cfg, including nested predictor
@@ -133,20 +137,25 @@ func decodeChangeTableConfig(dec *state.Decoder) predictor.ChangeTableConfig {
 }
 
 // snapshot encodes the engine's complete dynamic state: the interval
-// index, report accumulators (including the per-phase CPI sample lists
-// and the phase ID stream, which the final Report's CoV and run-length
-// statistics are computed from — keeping them verbatim is what makes a
-// restored tracker's Report bit-identical), and every component.
+// index, the report accumulators, and every component. The report
+// accumulators are the summaries Report reads — per-phase and
+// whole-run CPI moments, the closed runs' length summaries and the open
+// run — so a restored tracker's Report is bit-identical while the
+// payload stays O(phases) however long the stream has run.
 func (e *engine) snapshot(enc *state.Encoder) {
 	enc.Section(TagEngine, engineVersion)
 	enc.Int(e.index)
 	enc.Int(e.collect.Intervals)
 	enc.Int(e.collect.TransitionIntervals)
-	enc.U32(uint32(len(e.samples)))
-	for _, xs := range e.samples {
-		enc.F64s(xs)
+	enc.U32(uint32(len(e.phases)))
+	for i := range e.phases {
+		e.phases[i].EncodeMoments(enc)
 	}
-	enc.Ints(e.ids)
+	e.whole.EncodeMoments(enc)
+	e.collect.StableRuns.Encode(enc)
+	e.collect.TransitionRuns.Encode(enc)
+	enc.Int(e.runPhase)
+	enc.Int(e.runLen)
 	e.cls.Snapshot(enc)
 	e.np.Snapshot(enc)
 	e.chg.Snapshot(enc)
@@ -157,28 +166,35 @@ func (e *engine) snapshot(enc *state.Encoder) {
 // engine must be freshly built from the same configuration the
 // snapshot was taken under.
 func (e *engine) restore(dec *state.Decoder) error {
-	dec.Section(TagEngine, engineVersion)
+	if v := dec.Section(TagEngine, engineVersion); dec.Err() == nil && v != engineVersion {
+		return fmt.Errorf("%w: engine section v%d predates the v%d summary layout", state.ErrCorrupt, v, engineVersion)
+	}
 	index := dec.Int()
-	intervals := dec.Int()
-	transitions := dec.Int()
-	n := int(dec.U32())
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	// Each phase's sample list costs at least a 4-byte count.
-	if n < 0 || n > dec.Len()/4 {
-		return fmt.Errorf("%w: engine phase count %d", state.ErrCorrupt, n)
-	}
-	samples := make([][]float64, n)
-	for i := range samples {
-		samples[i] = dec.F64s()
-		if dec.Err() != nil {
-			return dec.Err()
+	collect := Report{Intervals: dec.Int(), TransitionIntervals: dec.Int()}
+	// Each phase summary is a count, a mean and a squared-deviation sum.
+	phases := make([]stats.Running, dec.Count(24))
+	for i := range phases {
+		if err := phases[i].DecodeMoments(dec); err != nil {
+			return err
 		}
 	}
-	ids := dec.Ints()
+	var whole stats.Running
+	for _, err := range []error{
+		whole.DecodeMoments(dec),
+		collect.StableRuns.Decode(dec),
+		collect.TransitionRuns.Decode(dec),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	runPhase := dec.Int()
+	runLen := dec.Int()
 	if err := dec.Err(); err != nil {
 		return err
+	}
+	if runLen < 0 {
+		return fmt.Errorf("%w: engine open run length %d", state.ErrCorrupt, runLen)
 	}
 	if err := e.cls.Restore(dec); err != nil {
 		return err
@@ -196,9 +212,11 @@ func (e *engine) restore(dec *state.Decoder) error {
 		return err
 	}
 	e.index = index
-	e.collect = Report{Intervals: intervals, TransitionIntervals: transitions}
-	e.samples = samples
-	e.ids = ids
+	e.collect = collect
+	e.phases = phases
+	e.whole = whole
+	e.runPhase = runPhase
+	e.runLen = runLen
 	return nil
 }
 
@@ -211,7 +229,7 @@ func (t *Tracker) AppendSnapshot(dst []byte) []byte {
 	enc := state.AppendTo(append(dst, stateMagic...))
 	enc.Section(TagTracker, trackerVersion)
 	enc.String(t.name)
-	encodeConfig(enc, t.eng.cfg)
+	enc.Raw(t.cfgEnc)
 	t.eng.snapshot(enc)
 	t.acc.Snapshot(enc)
 	enc.U64(t.instrs)
@@ -238,11 +256,15 @@ func (t *Tracker) Restore(data []byte) error {
 	dec := state.NewDecoder(data[len(stateMagic):])
 	dec.Section(TagTracker, trackerVersion)
 	name := dec.String()
-	cfg := decodeConfig(dec)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(cfg, t.eng.cfg) {
+	// Configurations are compared in their canonical encoding: equal
+	// configurations encode to equal bytes. Only a payload whose
+	// configuration differs is decoded, to tell corruption from a
+	// well-formed but foreign architecture.
+	if !dec.Consume(t.cfgEnc) {
+		decodeConfig(dec)
+		if err := dec.Err(); err != nil {
+			return err
+		}
 		return fmt.Errorf("core: snapshot configuration does not match tracker configuration")
 	}
 	eng := newEngine(t.eng.cfg)

@@ -1,8 +1,9 @@
 package predictor
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TrackKind selects what outcome state each phase change table entry
@@ -100,16 +101,46 @@ type tableEntry struct {
 
 	single int            // TrackSingle: last outcome
 	last4  []int          // TrackLast4: unique outcomes, most recent first
-	counts map[int]uint32 // TrackTopN: outcome -> occurrences
+	counts []outcomeCount // TrackTopN: occurrences, phase ascending
 
-	// pred is the entry's current predicted outcome set, rebuilt by
+	// pred is the entry's current predicted outcome set, updated by
 	// train and returned directly by outcomes. Predictions change only
-	// when the entry trains, so the (for TrackTopN, sorted) set is
+	// when the entry trains, so the (for TrackTopN, ranked) set is
 	// computed once per phase change instead of once per probe — the
 	// table is probed every interval but trains only at changes. The
-	// slice is copy-on-write: train always installs a fresh slice, so
-	// previously returned lookups stay valid forever.
+	// slice is copy-on-write: train installs a fresh slice whenever the
+	// set changes, so previously returned lookups stay valid forever.
 	pred []int
+}
+
+// outcomeCount is one TrackTopN outcome and how often it occurred.
+type outcomeCount struct {
+	phase int
+	count uint32
+}
+
+// ranksAbove reports whether a precedes b in Top-N order: count
+// descending, then phase ascending, a total order over an entry's
+// distinct outcomes.
+func (a outcomeCount) ranksAbove(b outcomeCount) bool {
+	if a.count != b.count {
+		return a.count > b.count
+	}
+	return a.phase < b.phase
+}
+
+// count returns phase's occurrence count (0 if never seen).
+func (e *tableEntry) count(phase int) uint32 {
+	if i, ok := e.find(phase); ok {
+		return e.counts[i].count
+	}
+	return 0
+}
+
+// find binary-searches counts for phase, returning its index or the
+// index it would be inserted at.
+func (e *tableEntry) find(phase int) (int, bool) {
+	return slices.BinarySearchFunc(e.counts, phase, func(c outcomeCount, p int) int { return cmp.Compare(c.phase, p) })
 }
 
 // ChangeLookup is the result of probing the table.
@@ -199,8 +230,8 @@ func (t *ChangeTable) outcomes(e *tableEntry) []int {
 }
 
 // rebuildPred recomputes an entry's cached prediction set from its
-// tracked state. Called only from train, so the sort for TrackTopN runs
-// once per recorded phase change rather than once per table probe.
+// tracked state. Restore calls it once per valid way; train keeps the
+// set current incrementally.
 func (t *ChangeTable) rebuildPred(e *tableEntry) {
 	switch t.cfg.Track {
 	case TrackSingle:
@@ -210,33 +241,74 @@ func (t *ChangeTable) rebuildPred(e *tableEntry) {
 		copy(out, e.last4)
 		e.pred = out
 	case TrackTopN:
-		type oc struct {
-			phase int
-			count uint32
-		}
-		all := make([]oc, 0, len(e.counts))
-		for p, n := range e.counts {
-			all = append(all, oc{p, n})
-		}
-		// Stable order: count desc, then phase asc for determinism.
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].count != all[j].count {
-				return all[i].count > all[j].count
-			}
-			return all[i].phase < all[j].phase
-		})
-		n := t.cfg.TopN
-		if n > len(all) {
-			n = len(all)
-		}
-		out := make([]int, n)
-		for i := 0; i < n; i++ {
-			out[i] = all[i].phase
-		}
-		e.pred = out
+		e.pred = selectTopN(e.counts, t.cfg.TopN)
 	default:
 		panic("predictor: unknown TrackKind")
 	}
+}
+
+// selectTopN returns the phases of the n highest-ranked counts, best
+// first: n selection passes, each taking the best count ranked below
+// the previous pick, with no sort and no temporary buffer.
+func selectTopN(counts []outcomeCount, n int) []int {
+	out := make([]int, 0, min(n, len(counts)))
+	var last outcomeCount
+	for len(out) < cap(out) {
+		best := -1
+		for i, c := range counts {
+			if len(out) > 0 && !last.ranksAbove(c) {
+				continue
+			}
+			if best < 0 || c.ranksAbove(counts[best]) {
+				best = i
+			}
+		}
+		last = counts[best]
+		out = append(out, last.phase)
+	}
+	return out
+}
+
+// promoteTopN updates the entry's Top-N prediction after outcome's
+// count rose by one. No other count changed and outcome's rank can
+// only have risen, so the new top N is drawn from the old set plus
+// outcome: outcome moves ahead of the members it now outranks, and the
+// member pushed past N (if any) drops out. The set is replaced only
+// when it changes.
+func (t *ChangeTable) promoteTopN(e *tableEntry, outcome int) {
+	moved := outcomeCount{outcome, e.count(outcome)}
+	old := e.pred
+	was := slices.Index(old, outcome)
+	at := 0
+	for _, p := range old {
+		if p == outcome || !(outcomeCount{p, e.count(p)}).ranksAbove(moved) {
+			break
+		}
+		at++
+	}
+	if at == was || (was < 0 && at >= t.cfg.TopN) {
+		return
+	}
+	n := len(old)
+	if was < 0 {
+		n = min(n+1, t.cfg.TopN)
+	}
+	out := make([]int, 0, n)
+	for _, p := range old {
+		if len(out) == at {
+			out = append(out, outcome)
+		}
+		if len(out) == n {
+			break
+		}
+		if p != outcome {
+			out = append(out, p)
+		}
+	}
+	if len(out) < n {
+		out = append(out, outcome)
+	}
+	e.pred = out
 }
 
 // RecordChange trains the table with an observed phase change: from the
@@ -269,6 +341,7 @@ func (t *ChangeTable) train(e *tableEntry, outcome int) {
 	switch t.cfg.Track {
 	case TrackSingle:
 		e.single = outcome
+		t.rebuildPred(e)
 	case TrackLast4:
 		// Move-to-front of a unique list capped at 4. Build into a
 		// fresh slice: writing through e.last4[:0] would clobber the
@@ -281,13 +354,17 @@ func (t *ChangeTable) train(e *tableEntry, outcome int) {
 			}
 		}
 		e.last4 = out
+		t.rebuildPred(e)
 	case TrackTopN:
-		if e.counts == nil {
-			e.counts = make(map[int]uint32, 4)
+		if i, ok := e.find(outcome); ok {
+			e.counts[i].count++
+		} else {
+			e.counts = slices.Insert(e.counts, i, outcomeCount{outcome, 1})
 		}
-		e.counts[outcome]++
+		t.promoteTopN(e, outcome)
+	default:
+		panic("predictor: unknown TrackKind")
 	}
-	t.rebuildPred(e)
 }
 
 // insert allocates an entry for hash with the given first outcome.

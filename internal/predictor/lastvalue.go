@@ -1,6 +1,10 @@
 package predictor
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // LastValueConfig configures the last-value predictor's per-phase
 // confidence counters (§5.1).
@@ -41,11 +45,26 @@ func (c LastValueConfig) Validate() error {
 // stable phases advance to confident status and rapidly changing ones
 // are demoted (§5.1).
 type LastValue struct {
-	cfg  LastValueConfig
-	conf map[int]int
+	cfg LastValueConfig
+	// conf holds the counters of phases whose counter has moved since
+	// the phase was last reset, in ascending phase order; any other
+	// phase's counter is 0.
+	conf []phaseConf
 	max  int
 	cur  int
 	seen bool
+}
+
+// phaseConf is one phase's confidence counter.
+type phaseConf struct {
+	phase int
+	conf  int
+}
+
+// find binary-searches conf for phase, returning its index or the
+// index it would be inserted at.
+func (l *LastValue) find(phase int) (int, bool) {
+	return slices.BinarySearchFunc(l.conf, phase, func(c phaseConf, p int) int { return cmp.Compare(c.phase, p) })
 }
 
 // NewLastValue returns a predictor with no observed phase. It panics on
@@ -54,7 +73,7 @@ func NewLastValue(cfg LastValueConfig) *LastValue {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &LastValue{cfg: cfg, conf: make(map[int]int), max: (1 << cfg.Bits) - 1}
+	return &LastValue{cfg: cfg, max: (1 << cfg.Bits) - 1}
 }
 
 // Predict returns the predicted next phase and whether the prediction
@@ -67,7 +86,7 @@ func (l *LastValue) Predict() (phase int, confident bool) {
 	if !l.cfg.UseConfidence {
 		return l.cur, true
 	}
-	return l.cur, l.conf[l.cur] >= l.cfg.Threshold
+	return l.cur, l.Confidence(l.cur) >= l.cfg.Threshold
 }
 
 // Observe records the actual phase of the next interval, training the
@@ -82,12 +101,20 @@ func (l *LastValue) Observe(actual int) bool {
 	}
 	correct := actual == l.cur
 	if l.cfg.UseConfidence {
-		c := l.conf[l.cur]
-		// Write only when the counter moves: a saturated or floored
-		// counter must not materialize a map entry, because the
-		// snapshot encoding walks the map's keys.
+		// Write only when the counter moves: a floored counter must not
+		// materialize an entry, because the snapshot encodes every
+		// entry.
+		i, ok := l.find(l.cur)
+		c := 0
+		if ok {
+			c = l.conf[i].conf
+		}
 		if n := satUpdate(c, correct, l.max); n != c {
-			l.conf[l.cur] = n
+			if ok {
+				l.conf[i].conf = n
+			} else {
+				l.conf = slices.Insert(l.conf, i, phaseConf{l.cur, n})
+			}
 		}
 	}
 	l.cur = actual
@@ -99,8 +126,15 @@ func (l *LastValue) Observe(actual int) bool {
 // ID signature table (§5.1); core.Tracker calls this on new-signature
 // classifications.
 func (l *LastValue) ResetPhase(phase int) {
-	delete(l.conf, phase)
+	if i, ok := l.find(phase); ok {
+		l.conf = slices.Delete(l.conf, i, i+1)
+	}
 }
 
 // Confidence returns the current counter value for a phase.
-func (l *LastValue) Confidence(phase int) int { return l.conf[phase] }
+func (l *LastValue) Confidence(phase int) int {
+	if i, ok := l.find(phase); ok {
+		return l.conf[i].conf
+	}
+	return 0
+}

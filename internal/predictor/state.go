@@ -19,82 +19,46 @@ const (
 const predictorVersion = 1
 
 // Snapshot encodes the last-value predictor's state: the current phase
-// and every per-phase confidence counter. Counters are written in
-// ascending phase order so encoding is deterministic (the same state
-// always produces the same bytes).
+// and every per-phase confidence counter, as (phase, counter) pairs in
+// the ascending phase order they are kept in, so the same state always
+// produces the same bytes.
 func (l *LastValue) Snapshot(enc *state.Encoder) {
 	enc.Section(TagLastValue, predictorVersion)
 	enc.Bool(l.seen)
 	enc.Int(l.cur)
-	encodeIntPairs(enc, l.conf)
+	enc.U32(uint32(len(l.conf)))
+	for _, c := range l.conf {
+		enc.Int(c.phase)
+		enc.Int(c.conf)
+	}
 }
 
 // Restore replaces the last-value predictor's state with a decoded
-// snapshot. The receiver keeps its configuration.
+// snapshot. The receiver keeps its configuration. Phases must be
+// strictly ascending: the canonical order makes decode(encode(x))
+// re-encode to the exact source bytes, and duplicate phases cannot
+// silently collapse.
 func (l *LastValue) Restore(dec *state.Decoder) error {
 	dec.Section(TagLastValue, predictorVersion)
 	seen := dec.Bool()
 	cur := dec.Int()
-	conf, err := decodeIntPairs(dec, "last-value confidence")
-	if err != nil {
+	conf := make([]phaseConf, dec.Count(16))
+	for i := range conf {
+		conf[i] = phaseConf{phase: dec.Int(), conf: dec.Int()}
+		if dec.Err() != nil {
+			return dec.Err()
+		}
+		if i > 0 && conf[i].phase <= conf[i-1].phase {
+			return fmt.Errorf("%w: last-value confidence phases not strictly ascending", state.ErrCorrupt)
+		}
+	}
+	if err := dec.Err(); err != nil {
 		return err
 	}
 	l.seen = seen
 	l.cur = cur
 	l.conf = conf
 	return nil
-}
-
-// encodeIntPairs writes an int->int map as ascending-key pairs.
-func encodeIntPairs(enc *state.Encoder, m map[int]int) {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortInts(keys)
-	enc.U32(uint32(len(keys)))
-	for _, k := range keys {
-		enc.Int(k)
-		enc.Int(m[k])
-	}
-}
-
-// decodeIntPairs reads an int->int map, requiring strictly ascending
-// keys: the canonical order makes decode(encode(x)) re-encode to the
-// exact source bytes, and duplicate keys cannot silently collapse.
-func decodeIntPairs(dec *state.Decoder, what string) (map[int]int, error) {
-	n := int(dec.U32())
-	if dec.Err() != nil {
-		return nil, dec.Err()
-	}
-	if n < 0 || n > dec.Len()/16 {
-		return nil, fmt.Errorf("%w: %s pair count %d", state.ErrCorrupt, what, n)
-	}
-	m := make(map[int]int, n)
-	prev := 0
-	for i := 0; i < n; i++ {
-		k := dec.Int()
-		v := dec.Int()
-		if dec.Err() != nil {
-			return nil, dec.Err()
-		}
-		if i > 0 && k <= prev {
-			return nil, fmt.Errorf("%w: %s keys not strictly ascending", state.ErrCorrupt, what)
-		}
-		prev = k
-		m[k] = v
-	}
-	return m, nil
-}
-
-// sortInts is an insertion sort: key sets here are tiny (phases seen,
-// tracked outcomes), so importing sort for them is not worth it.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Snapshot encodes the history's kind, depth, and run-length-encoded
@@ -167,15 +131,10 @@ func (t *ChangeTable) Snapshot(enc *state.Encoder) {
 		case TrackLast4:
 			enc.Ints(e.last4)
 		case TrackTopN:
-			keys := make([]int, 0, len(e.counts))
-			for k := range e.counts {
-				keys = append(keys, k)
-			}
-			sortInts(keys)
-			enc.U32(uint32(len(keys)))
-			for _, k := range keys {
-				enc.Int(k)
-				enc.U32(e.counts[k])
+			enc.U32(uint32(len(e.counts)))
+			for _, c := range e.counts {
+				enc.Int(c.phase)
+				enc.U32(c.count)
 			}
 		}
 	}
@@ -222,19 +181,15 @@ func (t *ChangeTable) Restore(dec *state.Decoder) error {
 			if k < 0 || k > dec.Len()/12 {
 				return fmt.Errorf("%w: change table way %d outcome count %d", state.ErrCorrupt, i, k)
 			}
-			counts := make(map[int]uint32, k)
-			prev := 0
-			for j := 0; j < k; j++ {
-				phase := dec.Int()
-				cnt := dec.U32()
+			counts := make([]outcomeCount, k)
+			for j := range counts {
+				counts[j] = outcomeCount{phase: dec.Int(), count: dec.U32()}
 				if dec.Err() != nil {
 					return dec.Err()
 				}
-				if j > 0 && phase <= prev {
+				if j > 0 && counts[j].phase <= counts[j-1].phase {
 					return fmt.Errorf("%w: change table way %d outcomes not strictly ascending", state.ErrCorrupt, i)
 				}
-				prev = phase
-				counts[phase] = cnt
 			}
 			e.counts = counts
 		}

@@ -24,6 +24,7 @@
 package state
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -98,6 +99,10 @@ func (e *Encoder) Blob(b []byte) {
 	e.U32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
 }
+
+// Raw appends b verbatim, with no length prefix: for splicing in a
+// section encoded earlier, which the reader matches with Consume.
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
 // U16s writes a length-prefixed []uint16.
 func (e *Encoder) U16s(v []uint16) {
@@ -200,6 +205,17 @@ func (d *Decoder) Section(tag, maxVersion byte) byte {
 		return 0
 	}
 	return b[1]
+}
+
+// Consume advances past prefix if the undecoded bytes start with it
+// and reports whether they did; otherwise nothing is read. It is the
+// decode counterpart of Encoder.Raw.
+func (d *Decoder) Consume(prefix []byte) bool {
+	if d.err != nil || !bytes.HasPrefix(d.buf[d.off:], prefix) {
+		return false
+	}
+	d.off += len(prefix)
+	return true
 }
 
 // U8 reads one byte.

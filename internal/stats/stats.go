@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -122,31 +123,47 @@ func StdDev(xs []float64) float64 {
 // phase, per §4.4: "The transition phase is not included in the CPI CoV
 // calculations") contribute neither CoV nor weight.
 func PhaseCoV(samples map[int][]float64, exclude ...int) float64 {
-	skip := make(map[int]bool, len(exclude))
-	for _, id := range exclude {
-		skip[id] = true
+	ids := make([]int, 0, len(samples))
+	for id := range samples {
+		if !slices.Contains(exclude, id) {
+			ids = append(ids, id)
+		}
 	}
-	// Iterate phases in sorted ID order: accumulating in map order
+	// Summarise phases in sorted ID order: accumulating in map order
 	// would make the floating-point sum depend on Go's randomized map
 	// iteration, and callers (tests, golden files) rely on Evaluate
 	// being bit-deterministic.
-	ids := make([]int, 0, len(samples))
-	total := 0
-	for id, xs := range samples {
-		if skip[id] {
-			continue
+	sort.Ints(ids)
+	phases := make([]Running, len(ids))
+	for i, id := range ids {
+		for _, x := range samples[id] {
+			phases[i].Add(x)
 		}
-		ids = append(ids, id)
-		total += len(xs)
+	}
+	return PhaseCoVSummaries(phases, -1)
+}
+
+// PhaseCoVSummaries is PhaseCoV over running summaries instead of
+// sample lists, in O(phases) rather than O(samples): phases[i]
+// summarises one phase's samples, phases are weighted in index order,
+// and phases[exclude] contributes neither CoV nor weight (-1 excludes
+// none). A summary fed the same samples in the same order as a sample
+// list yields a bit-identical result.
+func PhaseCoVSummaries(phases []Running, exclude int) float64 {
+	total := 0
+	for i := range phases {
+		if i != exclude {
+			total += phases[i].n
+		}
 	}
 	if total == 0 {
 		return 0
 	}
-	sort.Ints(ids)
 	weighted := 0.0
-	for _, id := range ids {
-		xs := samples[id]
-		weighted += CoV(xs) * float64(len(xs)) / float64(total)
+	for i := range phases {
+		if r := &phases[i]; i != exclude && r.n > 0 {
+			weighted += r.CoV() * float64(r.n) / float64(total)
+		}
 	}
 	return weighted
 }
