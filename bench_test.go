@@ -21,6 +21,7 @@ import (
 
 	"phasekit"
 	"phasekit/internal/classifier"
+	"phasekit/internal/core"
 	"phasekit/internal/fleet"
 	"phasekit/internal/harness"
 	"phasekit/internal/rng"
@@ -273,6 +274,48 @@ func BenchmarkRestore(b *testing.B) {
 		if err := target.Restore(snap); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRestoreInto measures decoding a snapshot in place into a
+// tracker that already holds the same stream's tables — the fleet's
+// rehydration path, where pooled shells are restored with
+// core.RestoreInto.
+func BenchmarkRestoreInto(b *testing.B) {
+	tr, cfg := stateBenchTracker()
+	snap := tr.Snapshot()
+	shell := phasekit.NewTracker("bench", cfg)
+	if err := core.RestoreInto(shell, snap); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := core.RestoreInto(shell, snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRestoreIntoAllocBound pins that an in-place restore into a warm
+// shell allocates only the stream name and the change tables'
+// prediction sets, not the tables themselves (an atomic
+// Tracker.Restore of the same snapshot makes about 40 allocations).
+func TestRestoreIntoAllocBound(t *testing.T) {
+	tr, cfg := stateBenchTracker()
+	snap := tr.Snapshot()
+	shell := phasekit.NewTracker("bench", cfg)
+	if err := core.RestoreInto(shell, snap); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := core.RestoreInto(shell, snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Fatalf("in-place restore made %.1f allocations, want <= 20", allocs)
 	}
 }
 

@@ -124,6 +124,11 @@ type Result struct {
 	NewSignature bool
 	// Evicted reports that creating the entry evicted an LRU victim.
 	Evicted bool
+	// EvictedID is the victim's phase ID when Evicted (TransitionPhase
+	// if it was never promoted). A real phase ID is minted once per
+	// entry and survives splits, so an evicted one is never emitted
+	// again: state keyed by it can be dropped.
+	EvictedID int
 	// Promoted reports that the matched entry crossed the min-count
 	// threshold on this classification and received its real phase ID.
 	Promoted bool
@@ -256,7 +261,7 @@ func (c *Classifier) Stats() Stats { return c.stats }
 // IndexStats returns the indexed-scan diagnostics accumulated since
 // construction (or the last Restore, which resets them). Buckets
 // reflects the live index, which is rebuilt lazily: between a Restore
-// and the next Classify it still describes the pre-restore table.
+// and the next Classify it reads 0.
 func (c *Classifier) IndexStats() IndexStats {
 	s := c.istats
 	s.Buckets = len(c.idx.keys)
@@ -717,6 +722,7 @@ func (c *Classifier) insert(sig signature.Vector, sigSum uint64, segs [4]uint64)
 			c.idx.remove(int32(victim), c.entries[victim].sigSum)
 			c.idx.add(int32(victim), sigSum)
 		}
+		res.EvictedID = c.entries[victim].phaseID
 		c.entries[victim] = e
 		copy(c.rowSig(victim), sig)
 		copy(c.segs[victim*4:victim*4+4], segs[:])

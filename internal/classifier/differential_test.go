@@ -152,6 +152,7 @@ func (c *refClassifier) insert(sig signature.Vector) Result {
 				victim = i
 			}
 		}
+		res.EvictedID = c.entries[victim].phaseID
 		c.entries[victim] = e
 		res.Evicted = true
 	} else {
@@ -319,8 +320,10 @@ func runDifferentialIndexed(t *testing.T, cfg Config, sigs []signature.Vector, c
 
 // runDifferentialRestore snapshots the indexed classifier mid-stream,
 // restores it into a fresh instance (whose index is rebuilt and MRU
-// seed invalidated), and requires the resumed run to stay bit-identical
-// to both the uninterrupted indexed run and the linear oracle.
+// seed invalidated) and into a dirty one that already classified the
+// whole stream backwards (whose table, slab and index buckets the
+// restore refills in place), and requires both resumed runs to stay
+// bit-identical to the uninterrupted indexed run and the linear oracle.
 func runDifferentialRestore(t *testing.T, cfg Config, sigs []signature.Vector, cpis []float64) {
 	t.Helper()
 	half := len(sigs) / 2
@@ -335,9 +338,17 @@ func runDifferentialRestore(t *testing.T, cfg Config, sigs []signature.Vector, c
 	if err := resumed.Restore(state.NewDecoder(snapshotBytes(idx))); err != nil {
 		t.Fatalf("cfg %+v: restore: %v", cfg, err)
 	}
+	dirty := New(cfg)
+	for k := len(sigs) - 1; k >= 0; k-- {
+		dirty.Classify(sigs[k], cpis[k])
+	}
+	if err := dirty.Restore(state.NewDecoder(snapshotBytes(idx))); err != nil {
+		t.Fatalf("cfg %+v: restore into a dirty classifier: %v", cfg, err)
+	}
 	for k := half; k < len(sigs); k++ {
 		cont := idx.Classify(sigs[k], cpis[k])
 		res := resumed.Classify(sigs[k], cpis[k])
+		dres := dirty.Classify(sigs[k], cpis[k])
 		want := lin.Classify(sigs[k], cpis[k])
 		if cont != want {
 			t.Fatalf("step %d (cfg %+v): indexed %+v != linear %+v", k, cfg, cont, want)
@@ -345,6 +356,15 @@ func runDifferentialRestore(t *testing.T, cfg Config, sigs []signature.Vector, c
 		if res != want {
 			t.Fatalf("step %d (cfg %+v): restored indexed %+v != linear %+v", k, cfg, res, want)
 		}
+		if dres != want {
+			t.Fatalf("step %d (cfg %+v): dirty-restored indexed %+v != linear %+v", k, cfg, dres, want)
+		}
+	}
+	if resumed.IndexStats() != dirty.IndexStats() {
+		t.Fatalf("cfg %+v: dirty-restored index stats %+v != fresh-restored %+v", cfg, dirty.IndexStats(), resumed.IndexStats())
+	}
+	if !bytes.Equal(snapshotBytes(idx), snapshotBytes(dirty)) {
+		t.Fatalf("cfg %+v: dirty-restored snapshot diverged from uninterrupted snapshot", cfg)
 	}
 	if !bytes.Equal(snapshotBytes(idx), snapshotBytes(resumed)) {
 		t.Fatalf("cfg %+v: resumed snapshot diverged from uninterrupted snapshot", cfg)

@@ -105,11 +105,21 @@ func (x *sumIndex) remove(row int32, sum uint64) {
 	x.buckets[i] = append(b[:j], b[j+1:]...)
 }
 
-// rebuild reconstructs the index from the entry table (Restore, and the
-// initial build).
-func (x *sumIndex) rebuild(entries []entry) {
+// clear empties the index, parking every bucket's storage in spare so
+// the next rebuild reuses it instead of allocating.
+func (x *sumIndex) clear() {
+	for i, b := range x.buckets {
+		x.spare = append(x.spare, b[:0])
+		x.buckets[i] = nil
+	}
 	x.keys = x.keys[:0]
 	x.buckets = x.buckets[:0]
+}
+
+// rebuild reconstructs the index from the entry table (the first
+// Classify after a Restore).
+func (x *sumIndex) rebuild(entries []entry) {
+	x.clear()
 	for i := range entries {
 		x.add(int32(i), entries[i].sigSum)
 	}

@@ -50,7 +50,15 @@ func (c *Classifier) Snapshot(enc *state.Encoder) {
 // receiver keeps its configuration; the snapshot must be structurally
 // consistent with it (table capacity, signature dimensionality). A
 // restored classifier classifies bit-identically to the snapshotted
-// one.
+// one, whatever the receiver held before.
+//
+// Decoding fills the receiver's own table storage (see state.Reuse), so
+// restoring into a classifier that once held a table of similar size
+// allocates nothing. On error the receiver may hold part of the
+// payload: it stays safe to restore into again, and the next successful
+// Restore overwrites every field, but it must not classify in between.
+// Callers that need an untouched receiver on error restore into a fresh
+// classifier and swap it in on success.
 func (c *Classifier) Restore(dec *state.Decoder) error {
 	dec.Section(TagClassifier, classifierVersion)
 	dims := dec.Int()
@@ -74,31 +82,11 @@ func (c *Classifier) Restore(dec *state.Decoder) error {
 	if n < 0 || n > dec.Len()/64 {
 		return fmt.Errorf("%w: classifier entry count %d", state.ErrCorrupt, n)
 	}
-	entries := make([]entry, n)
-	for i := range entries {
-		e := &entries[i]
-		e.phaseID = dec.Int()
-		e.minCount = dec.Int()
-		e.threshold = dec.F64()
-		e.lastUse = dec.U64()
-		e.insertedAt = dec.U64()
-		e.cpiCount = dec.Int()
-		e.cpiMean = dec.F64()
-		e.devStreak = dec.Int()
-	}
-	sigs := dec.U16s()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-
 	if dims < 0 || dims > 1<<20 {
 		return fmt.Errorf("%w: classifier dims %d", state.ErrCorrupt, dims)
 	}
 	if n > 0 && dims == 0 {
 		return fmt.Errorf("%w: classifier has %d entries but no dimensionality", state.ErrCorrupt, n)
-	}
-	if len(sigs) != n*dims {
-		return fmt.Errorf("%w: signature slab has %d values, want %d entries x %d dims", state.ErrCorrupt, len(sigs), n, dims)
 	}
 	if c.cfg.TableEntries > 0 && n > c.cfg.TableEntries {
 		return fmt.Errorf("%w: snapshot has %d entries, table capacity is %d", state.ErrCorrupt, n, c.cfg.TableEntries)
@@ -106,16 +94,44 @@ func (c *Classifier) Restore(dec *state.Decoder) error {
 	if nextID < TransitionPhase+1 {
 		return fmt.Errorf("%w: classifier next phase ID %d", state.ErrCorrupt, nextID)
 	}
-	for i := range entries {
-		if id := entries[i].phaseID; id < TransitionPhase || id >= nextID {
+	entries := state.Reuse(c.entries, n)
+	for i := 0; i < n; i++ {
+		e := entry{
+			phaseID:    dec.Int(),
+			minCount:   dec.Int(),
+			threshold:  dec.F64(),
+			lastUse:    dec.U64(),
+			insertedAt: dec.U64(),
+			cpiCount:   dec.Int(),
+			cpiMean:    dec.F64(),
+			devStreak:  dec.Int(),
+		}
+		if id := e.phaseID; dec.Err() == nil && (id < TransitionPhase || id >= nextID) {
 			return fmt.Errorf("%w: entry %d phase ID %d outside [%d,%d)", state.ErrCorrupt, i, id, TransitionPhase, nextID)
 		}
+		entries = append(entries, e)
+	}
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	// n*dims cannot overflow: n is bounded by the payload, dims by 2^20.
+	// The slab must still fit in what remains (2 bytes per value) before
+	// it sizes an allocation: dims comes from the wire too.
+	if n*dims > dec.Len()/2 {
+		return fmt.Errorf("%w: signature slab of %d entries x %d dims exceeds %d remaining bytes", state.ErrCorrupt, n, dims, dec.Len())
+	}
+	sigs := dec.AppendU16s(state.Reuse(c.sigs, n*dims))
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if len(sigs) != n*dims {
+		return fmt.Errorf("%w: signature slab has %d values, want %d entries x %d dims", state.ErrCorrupt, len(sigs), n, dims)
 	}
 
 	// Rebuild the derived per-row caches (signature sum and quarter-
 	// segment sums) from the slab: memoized values are never trusted
 	// from the wire.
-	segs := make([]uint64, 0, n*4)
+	segs := state.Reuse(c.segs, n*4)
 	for i := range entries {
 		row := signature.Vector(sigs[i*dims : (i+1)*dims])
 		s4, total := row.SegmentSums()
@@ -132,12 +148,13 @@ func (c *Classifier) Restore(dec *state.Decoder) error {
 	c.segs = segs
 	c.lbBuf = nil
 	// The sum index is a derived cache: never trust anything from the
-	// wire. Marking it dirty defers the rebuild to the first Classify,
-	// which reuses the old index's bucket capacity — Restore itself
-	// stays allocation-neutral no matter how large the table is. The
-	// MRU seed is invalidated outright (a wrong seed could only cost
-	// time, but a restored classifier should not depend on
-	// pre-snapshot scan state at all).
+	// wire. Clearing it parks every bucket for reuse and defers the
+	// rebuild to the first Classify, so Restore itself touches no
+	// bucket no matter how large the table is. The MRU seed is
+	// invalidated outright (a wrong seed could only cost time, but a
+	// restored classifier should not depend on pre-snapshot scan state
+	// at all).
+	c.idx.clear()
 	c.idxDirty = true
 	c.istats = IndexStats{}
 	c.mru = -1

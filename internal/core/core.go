@@ -181,6 +181,16 @@ func (e *engine) observe(sig signature.Vector, cpi float64) classifier.Result {
 		e.np.NotifyNewSignature(res.PhaseID)
 	}
 	e.np.Observe(res.PhaseID)
+	if res.Evicted && res.EvictedID != classifier.TransitionPhase {
+		// The victim's phase ID can never be emitted again, so its
+		// last-value confidence counter is dead weight: dropping it
+		// bounds the counters by the live table, not by every ID the
+		// stream ever minted. Retire it only after Observe, which
+		// still trains the previous interval's phase — possibly the
+		// victim's. Top-N outcome counts and the per-phase CPI
+		// summaries stay: predictions and PhaseCoV read them.
+		e.np.RetirePhase(res.EvictedID)
+	}
 	e.chg.Observe(res.PhaseID)
 	e.length.Observe(res.PhaseID)
 	e.index++

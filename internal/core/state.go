@@ -117,7 +117,7 @@ func decodeConfig(dec *state.Decoder) Config {
 	cfg.Length.Assoc = dec.Int()
 	cfg.Length.Kind = predictor.HistoryKind(dec.U8())
 	cfg.Length.Depth = dec.Int()
-	cfg.Length.Bounds = dec.Ints()
+	cfg.Length.Bounds = dec.AppendInts(nil)
 	cfg.Length.Hysteresis = dec.Bool()
 	return cfg
 }
@@ -163,8 +163,13 @@ func (e *engine) snapshot(enc *state.Encoder) {
 }
 
 // restore replaces the engine's state with a decoded snapshot. The
-// engine must be freshly built from the same configuration the
-// snapshot was taken under.
+// engine must have been built from the configuration the snapshot was
+// taken under; what it held before does not matter. Every component
+// decodes into its own storage, so restoring into an engine that once
+// held a stream of similar size allocates no tables. On error the
+// engine may hold part of the payload: it can be restored into again
+// (the next successful restore overwrites every field) but must not
+// observe intervals in between.
 func (e *engine) restore(dec *state.Decoder) error {
 	if v := dec.Section(TagEngine, engineVersion); dec.Err() == nil && v != engineVersion {
 		return fmt.Errorf("%w: engine section v%d predates the v%d summary layout", state.ErrCorrupt, v, engineVersion)
@@ -172,11 +177,14 @@ func (e *engine) restore(dec *state.Decoder) error {
 	index := dec.Int()
 	collect := Report{Intervals: dec.Int(), TransitionIntervals: dec.Int()}
 	// Each phase summary is a count, a mean and a squared-deviation sum.
-	phases := make([]stats.Running, dec.Count(24))
-	for i := range phases {
-		if err := phases[i].DecodeMoments(dec); err != nil {
+	n := dec.Count(24)
+	phases := state.Reuse(e.phases, n)
+	for i := 0; i < n; i++ {
+		var r stats.Running
+		if err := r.DecodeMoments(dec); err != nil {
 			return err
 		}
+		phases = append(phases, r)
 	}
 	var whole stats.Running
 	for _, err := range []error{
@@ -248,8 +256,34 @@ func (t *Tracker) Snapshot() []byte { return t.AppendSnapshot(nil) }
 // behaviour, so it is refused. Corrupt or truncated payloads return an
 // error and leave the tracker untouched: decoding builds a fresh engine
 // and accumulator and swaps them in only after the whole payload has
-// been verified.
+// been verified. RestoreInto is the allocation-free variant for
+// trackers whose state is disposable.
 func (t *Tracker) Restore(data []byte) error {
+	staged := *t
+	staged.eng = newEngine(t.eng.cfg)
+	staged.acc = signature.NewAccumulator(t.eng.cfg.Dims)
+	if err := RestoreInto(&staged, data); err != nil {
+		return err
+	}
+	*t = staged
+	return nil
+}
+
+// RestoreInto restores a snapshot into t in place, decoding into the
+// tables t already owns instead of building new ones: restoring into a
+// tracker that once held a stream of similar size allocates only the
+// stream name and the change tables' prediction sets. Afterwards t is
+// indistinguishable from a tracker built by NewTracker and restored
+// with Tracker.Restore — same interval results, same Report, same
+// snapshot bytes — whatever stream it held before.
+//
+// The price is atomicity. On error t may hold part of the payload: it
+// is left reusable (a later successful RestoreInto or Restore
+// overwrites every field) but must not track events until then. It
+// suits trackers whose prior state is disposable, such as the fleet's
+// pooled shells. It is a function rather than a Tracker method so the
+// public Tracker API keeps one, atomic, Restore.
+func RestoreInto(t *Tracker, data []byte) error {
 	if len(data) < len(stateMagic) || string(data[:len(stateMagic)]) != stateMagic {
 		return fmt.Errorf("%w: missing %q magic", state.ErrCorrupt, stateMagic)
 	}
@@ -267,12 +301,10 @@ func (t *Tracker) Restore(data []byte) error {
 		}
 		return fmt.Errorf("core: snapshot configuration does not match tracker configuration")
 	}
-	eng := newEngine(t.eng.cfg)
-	acc := signature.NewAccumulator(t.eng.cfg.Dims)
-	if err := eng.restore(dec); err != nil {
+	if err := t.eng.restore(dec); err != nil {
 		return err
 	}
-	if err := acc.Restore(dec); err != nil {
+	if err := t.acc.Restore(dec); err != nil {
 		return err
 	}
 	instrs := dec.U64()
@@ -280,10 +312,9 @@ func (t *Tracker) Restore(data []byte) error {
 	if err := dec.Finish(); err != nil {
 		return err
 	}
-	t.eng = eng
-	t.acc = acc
 	t.instrs = instrs
 	t.cycles = cycles
 	t.name = name
+	t.res = IntervalResult{}
 	return nil
 }

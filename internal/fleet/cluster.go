@@ -26,6 +26,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"phasekit/internal/core"
 )
 
 // ErrNotOwned is returned by Send and SendCtx (and reported per batch by
@@ -244,10 +246,11 @@ func (f *Fleet) adoptStream(sh *shard, stream string, snap []byte) shardReport {
 			f.evictDownTo(sh, sh.quota-1)
 		}
 		t := f.getShell(sh, stream)
-		if err := t.Restore(inner); err != nil {
+		if err := core.RestoreInto(t, inner); err != nil {
 			sh.putShell(t)
 			// The remote handed us bad bytes; refuse the adoption but do
-			// not quarantine — local state (if any) is untouched.
+			// not quarantine — the stream's local state (if any) is
+			// untouched, and the shell is reusable.
 			return shardReport{err: fmt.Errorf("stream %q: adopt: %w: %w", stream, ErrSnapshotCorrupt, err)}
 		}
 		e.tracker = t

@@ -351,17 +351,19 @@ type shard struct {
 	envBuf  []byte          // reusable seq-envelope buffer wrapping snapBuf
 	rng     *rng.Xoshiro256 // deterministic retry-backoff jitter
 	// free holds tracker shells recycled from eviction and throwaway
-	// reads, reused by the Restore path of rehydration.
-	// Tracker.Restore rebuilds every table and adopts the snapshot's
-	// name and configuration, so a pooled shell rehydrates any stream
-	// bit-identically to a freshly allocated tracker — but only the
-	// Restore path may use shells: a genuinely new stream needs the
-	// pristine state of core.NewTracker.
+	// reads. Rehydration decodes a snapshot into a shell's own tables
+	// (core.RestoreInto), overwriting every field and adopting the
+	// snapshot's stream name, so a pooled shell rehydrates any stream
+	// bit-identically to a freshly allocated tracker without
+	// allocating tables of its own. Only the restore path may use
+	// shells: a genuinely new stream needs the pristine state of
+	// core.NewTracker.
 	free []*core.Tracker
 }
 
-// getShell pops a pooled tracker shell for Restore, or allocates. The
-// placeholder name is irrelevant: Restore adopts the snapshot's name.
+// getShell pops a pooled tracker shell for core.RestoreInto, or
+// allocates. The placeholder name is irrelevant: the restore adopts
+// the snapshot's name.
 func (f *Fleet) getShell(sh *shard, stream string) *core.Tracker {
 	if n := len(sh.free); n > 0 {
 		t := sh.free[n-1]
@@ -829,11 +831,13 @@ func (f *Fleet) rehydrate(sh *shard, stream string) (*core.Tracker, uint64, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	// Restore fully rebuilds a tracker from the snapshot, so a pooled
-	// shell from a previous eviction serves any stream. On failure the
-	// shell is untouched (Restore's contract) and returns to the pool.
+	// RestoreInto overwrites every field of the shell in place, so a
+	// pooled shell from a previous eviction serves any stream. On
+	// failure the shell holds a partial decode but stays reusable (the
+	// next successful restore overwrites it all), so it returns to the
+	// pool.
 	t := f.getShell(sh, stream)
-	if err := t.Restore(snap); err != nil {
+	if err := core.RestoreInto(t, snap); err != nil {
 		sh.putShell(t)
 		return nil, 0, fmt.Errorf("%w: %w", ErrSnapshotCorrupt, err)
 	}

@@ -86,8 +86,10 @@ func TestShellPoolRecycles(t *testing.T) {
 }
 
 // TestShellPoolSurvivesCorruptRestore pins the error contract: a shell
-// whose Restore fails returns to the pool untouched, and the stream is
-// quarantined exactly as before pooling.
+// whose in-place restore fails holds a partial decode but is left
+// reusable — it returns to the pool and the next successful restore
+// overwrites every field — and the stream is quarantined exactly as
+// before pooling.
 func TestShellPoolSurvivesCorruptRestore(t *testing.T) {
 	store := NewMemStore()
 	cfg := Config{Shards: 1, Store: store, MaxResident: 1, Tracker: testConfig()}

@@ -229,34 +229,30 @@ func (t *ChangeTable) outcomes(e *tableEntry) []int {
 	return e.pred
 }
 
-// rebuildPred recomputes an entry's cached prediction set from its
-// tracked state. Restore calls it once per valid way; train keeps the
-// set current incrementally.
-func (t *ChangeTable) rebuildPred(e *tableEntry) {
+// appendPred appends the entry's prediction set, best first, computed
+// from its tracked state.
+func (t *ChangeTable) appendPred(dst []int, e *tableEntry) []int {
 	switch t.cfg.Track {
 	case TrackSingle:
-		e.pred = []int{e.single}
+		return append(dst, e.single)
 	case TrackLast4:
-		out := make([]int, len(e.last4))
-		copy(out, e.last4)
-		e.pred = out
+		return append(dst, e.last4...)
 	case TrackTopN:
-		e.pred = selectTopN(e.counts, t.cfg.TopN)
+		return appendTopN(dst, e.counts, t.cfg.TopN)
 	default:
 		panic("predictor: unknown TrackKind")
 	}
 }
 
-// selectTopN returns the phases of the n highest-ranked counts, best
+// appendTopN appends the phases of the n highest-ranked counts, best
 // first: n selection passes, each taking the best count ranked below
 // the previous pick, with no sort and no temporary buffer.
-func selectTopN(counts []outcomeCount, n int) []int {
-	out := make([]int, 0, min(n, len(counts)))
+func appendTopN(dst []int, counts []outcomeCount, n int) []int {
 	var last outcomeCount
-	for len(out) < cap(out) {
+	for k := 0; k < min(n, len(counts)); k++ {
 		best := -1
 		for i, c := range counts {
-			if len(out) > 0 && !last.ranksAbove(c) {
+			if k > 0 && !last.ranksAbove(c) {
 				continue
 			}
 			if best < 0 || c.ranksAbove(counts[best]) {
@@ -264,9 +260,9 @@ func selectTopN(counts []outcomeCount, n int) []int {
 			}
 		}
 		last = counts[best]
-		out = append(out, last.phase)
+		dst = append(dst, last.phase)
 	}
-	return out
+	return dst
 }
 
 // promoteTopN updates the entry's Top-N prediction after outcome's
@@ -341,7 +337,7 @@ func (t *ChangeTable) train(e *tableEntry, outcome int) {
 	switch t.cfg.Track {
 	case TrackSingle:
 		e.single = outcome
-		t.rebuildPred(e)
+		e.pred = t.appendPred(nil, e)
 	case TrackLast4:
 		// Move-to-front of a unique list capped at 4. Build into a
 		// fresh slice: writing through e.last4[:0] would clobber the
@@ -354,7 +350,7 @@ func (t *ChangeTable) train(e *tableEntry, outcome int) {
 			}
 		}
 		e.last4 = out
-		t.rebuildPred(e)
+		e.pred = t.appendPred(nil, e)
 	case TrackTopN:
 		if i, ok := e.find(outcome); ok {
 			e.counts[i].count++

@@ -124,7 +124,9 @@ func (l *LastValue) Observe(actual int) bool {
 // ResetPhase clears the confidence counter for a phase. The paper
 // resets a phase's counter whenever a new entry is added to the phase
 // ID signature table (§5.1); core.Tracker calls this on new-signature
-// classifications.
+// classifications, and (through NextPhasePredictor.RetirePhase) to
+// drop the counter of a phase ID whose table entry was evicted and so
+// can never be observed again.
 func (l *LastValue) ResetPhase(phase int) {
 	if i, ok := l.find(phase); ok {
 		l.conf = slices.Delete(l.conf, i, i+1)

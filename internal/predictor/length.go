@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"fmt"
+	"slices"
 
 	"phasekit/internal/stats"
 )
@@ -257,5 +258,11 @@ func (p *LengthPredictor) PendingPrediction() (class int, active bool) {
 	return p.pending.predicted, p.pending.active
 }
 
-// Stats returns the accumulated accounting.
-func (p *LengthPredictor) Stats() LengthStats { return p.stats }
+// Stats returns the accumulated accounting. ClassCounts is a copy: the
+// predictor keeps counting (and a Restore refills its counts in place),
+// so a returned value must not share its storage.
+func (p *LengthPredictor) Stats() LengthStats {
+	s := p.stats
+	s.ClassCounts = slices.Clone(s.ClassCounts)
+	return s
+}

@@ -312,6 +312,14 @@ func (p *NextPhasePredictor) NotifyNewSignature(phase int) {
 	p.lv.ResetPhase(phase)
 }
 
+// RetirePhase drops the last-value confidence counter of a phase ID
+// that can never be observed again (its signature-table entry was
+// evicted). Call it only after Observe has trained the interval that
+// evicted the entry: that Observe may still read the counter.
+func (p *NextPhasePredictor) RetirePhase(phase int) {
+	p.lv.ResetPhase(phase)
+}
+
 // NextStats returns the Figure 7 accounting.
 func (p *NextPhasePredictor) NextStats() NextPhaseStats { return p.next }
 

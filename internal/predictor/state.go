@@ -38,19 +38,25 @@ func (l *LastValue) Snapshot(enc *state.Encoder) {
 // strictly ascending: the canonical order makes decode(encode(x))
 // re-encode to the exact source bytes, and duplicate phases cannot
 // silently collapse.
+//
+// Like every predictor Restore, it decodes into the receiver's own
+// storage (see state.Reuse). On error the receiver may hold part of the
+// payload; the next successful Restore overwrites every field.
 func (l *LastValue) Restore(dec *state.Decoder) error {
 	dec.Section(TagLastValue, predictorVersion)
 	seen := dec.Bool()
 	cur := dec.Int()
-	conf := make([]phaseConf, dec.Count(16))
-	for i := range conf {
-		conf[i] = phaseConf{phase: dec.Int(), conf: dec.Int()}
+	n := dec.Count(16)
+	conf := state.Reuse(l.conf, n)
+	for i := 0; i < n; i++ {
+		c := phaseConf{phase: dec.Int(), conf: dec.Int()}
 		if dec.Err() != nil {
 			return dec.Err()
 		}
-		if i > 0 && conf[i].phase <= conf[i-1].phase {
+		if i > 0 && c.phase <= conf[i-1].phase {
 			return fmt.Errorf("%w: last-value confidence phases not strictly ascending", state.ErrCorrupt)
 		}
+		conf = append(conf, c)
 	}
 	if err := dec.Err(); err != nil {
 		return err
@@ -95,16 +101,16 @@ func (h *History) Restore(dec *state.Decoder) error {
 	if valid != (n > 0) {
 		return fmt.Errorf("%w: history validity %v with %d pairs", state.ErrCorrupt, valid, n)
 	}
-	pairs := make([]runPair, n)
-	for i := range pairs {
-		pairs[i] = runPair{phase: dec.Int(), run: dec.Int()}
+	pairs := h.pairs[:0]
+	for i := 0; i < n; i++ {
+		pairs = append(pairs, runPair{phase: dec.Int(), run: dec.Int()})
 	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
 	h.pairs = pairs
 	h.valid = valid
-	h.hashValid = false
+	h.hash, h.hashValid = 0, false
 	return nil
 }
 
@@ -142,7 +148,10 @@ func (t *ChangeTable) Snapshot(enc *state.Encoder) {
 
 // Restore replaces the table's ways with a decoded snapshot, rebuilding
 // each valid way's cached prediction set. The snapshot's geometry must
-// match the receiver's configuration.
+// match the receiver's configuration. Ways are overwritten in place and
+// each Top-N way refills its own outcome counts; the prediction sets are
+// carved from one array allocated per Restore, never from storage a
+// previously returned lookup may still hold (they are copy-on-write).
 func (t *ChangeTable) Restore(dec *state.Decoder) error {
 	dec.Section(TagChangeTable, predictorVersion)
 	n := int(dec.U32())
@@ -152,27 +161,29 @@ func (t *ChangeTable) Restore(dec *state.Decoder) error {
 	if n != len(t.ways) {
 		return fmt.Errorf("%w: change table has %d ways, receiver has %d", state.ErrCorrupt, n, len(t.ways))
 	}
-	ways := make([]tableEntry, n)
-	for i := range ways {
-		e := &ways[i]
-		e.valid = dec.Bool()
+	preds := 0
+	for i := range t.ways {
+		e := &t.ways[i]
+		valid := dec.Bool()
 		if dec.Err() != nil {
 			return dec.Err()
 		}
-		if !e.valid {
+		if !valid {
+			*e = tableEntry{}
 			continue
 		}
-		e.tag = dec.U64()
-		e.lru = dec.U8()
-		e.conf = dec.Int()
+		counts := e.counts
+		*e = tableEntry{valid: true, tag: dec.U64(), lru: dec.U8(), conf: dec.Int()}
 		switch t.cfg.Track {
 		case TrackSingle:
 			e.single = dec.Int()
+			preds++
 		case TrackLast4:
-			e.last4 = dec.Ints()
+			e.last4 = dec.AppendInts(nil)
 			if dec.Err() == nil && len(e.last4) > 4 {
 				return fmt.Errorf("%w: change table way %d tracks %d outcomes, max 4", state.ErrCorrupt, i, len(e.last4))
 			}
+			preds += len(e.last4)
 		case TrackTopN:
 			k := int(dec.U32())
 			if dec.Err() != nil {
@@ -181,28 +192,32 @@ func (t *ChangeTable) Restore(dec *state.Decoder) error {
 			if k < 0 || k > dec.Len()/12 {
 				return fmt.Errorf("%w: change table way %d outcome count %d", state.ErrCorrupt, i, k)
 			}
-			counts := make([]outcomeCount, k)
-			for j := range counts {
-				counts[j] = outcomeCount{phase: dec.Int(), count: dec.U32()}
+			counts = state.Reuse(counts, k)
+			for j := 0; j < k; j++ {
+				c := outcomeCount{phase: dec.Int(), count: dec.U32()}
 				if dec.Err() != nil {
 					return dec.Err()
 				}
-				if j > 0 && counts[j].phase <= counts[j-1].phase {
+				if j > 0 && c.phase <= counts[j-1].phase {
 					return fmt.Errorf("%w: change table way %d outcomes not strictly ascending", state.ErrCorrupt, i)
 				}
+				counts = append(counts, c)
 			}
 			e.counts = counts
+			preds += min(k, t.cfg.TopN)
 		}
 	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	for i := range ways {
-		if ways[i].valid {
-			t.rebuildPred(&ways[i])
+	buf := make([]int, 0, preds)
+	for i := range t.ways {
+		if e := &t.ways[i]; e.valid {
+			from := len(buf)
+			buf = t.appendPred(buf, e)
+			e.pred = buf[from:len(buf):len(buf)]
 		}
 	}
-	t.ways = ways
 	return nil
 }
 
@@ -350,10 +365,9 @@ func (p *LengthPredictor) Restore(dec *state.Decoder) error {
 	if n != len(p.ways) {
 		return fmt.Errorf("%w: length table has %d ways, receiver has %d", state.ErrCorrupt, n, len(p.ways))
 	}
-	ways := make([]lengthEntry, n)
-	for i := range ways {
-		e := &ways[i]
-		e.valid = dec.Bool()
+	for i := range p.ways {
+		e := &p.ways[i]
+		*e = lengthEntry{valid: dec.Bool()}
 		if dec.Err() != nil {
 			return dec.Err()
 		}
@@ -368,17 +382,17 @@ func (p *LengthPredictor) Restore(dec *state.Decoder) error {
 	active := dec.Bool()
 	hash := dec.U64()
 	predicted := dec.Int()
-	var stats LengthStats
-	stats.Predictions = dec.Int()
-	stats.Mispredictions = dec.Int()
-	stats.ClassCounts = dec.Ints()
+	stats := LengthStats{
+		Predictions:    dec.Int(),
+		Mispredictions: dec.Int(),
+		ClassCounts:    dec.AppendInts(p.stats.ClassCounts[:0]),
+	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
 	if len(stats.ClassCounts) != p.histo.Buckets() {
 		return fmt.Errorf("%w: length stats track %d classes, receiver has %d", state.ErrCorrupt, len(stats.ClassCounts), p.histo.Buckets())
 	}
-	p.ways = ways
 	p.pending.active = active
 	p.pending.hash = hash
 	p.pending.predicted = predicted

@@ -145,12 +145,15 @@ func TestSlowLorisIsCutOff(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer raw.Close()
-	// Trickle one byte every 20ms: bytes keep flowing, but no complete
-	// frame ever lands inside a 100ms read window.
-	conn := faults.WrapNetConn(raw, faults.NetSchedule{SlowChunk: 1, SlowDelay: 20 * time.Millisecond})
-	if _, err := conn.Write([]byte(wire.Magic)); err != nil {
+	// The magic goes out whole on the raw conn: trickled at 20ms a byte
+	// it could itself outlast the 100ms read window, and the server
+	// would cut the connection over a bad magic instead of a slow frame.
+	if _, err := raw.Write([]byte(wire.Magic)); err != nil {
 		t.Fatalf("magic: %v", err)
 	}
+	// Trickle the frame one byte every 20ms: bytes keep flowing, but no
+	// complete frame ever lands inside a 100ms read window.
+	conn := faults.WrapNetConn(raw, faults.NetSchedule{SlowChunk: 1, SlowDelay: 20 * time.Millisecond})
 	frame := wire.AppendBatchFrame(nil, wire.Batch{Seq: 1, StreamSeq: 1, Stream: "s", Events: intervalEvents()})
 	conn.Write(frame) // the server should cut us off mid-write or on read
 	raw.SetReadDeadline(time.Now().Add(5 * time.Second))

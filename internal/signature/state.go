@@ -22,10 +22,13 @@ func (a *Accumulator) Snapshot(enc *state.Encoder) {
 
 // Restore replaces the accumulator's state with a decoded snapshot. The
 // snapshot's dimensionality must match the accumulator's; a restored
-// accumulator behaves bit-identically to the one snapshotted.
+// accumulator behaves bit-identically to the one snapshotted. Counters
+// decode straight into the accumulator's own array; on error it may
+// hold part of the payload, and the next successful Restore overwrites
+// all of it.
 func (a *Accumulator) Restore(dec *state.Decoder) error {
 	dec.Section(TagAccumulator, accumulatorVersion)
-	counters := dec.U64s()
+	counters := dec.AppendU64s(a.counters[:0])
 	total := dec.U64()
 	if err := dec.Err(); err != nil {
 		return err
@@ -33,7 +36,6 @@ func (a *Accumulator) Restore(dec *state.Decoder) error {
 	if len(counters) != len(a.counters) {
 		return fmt.Errorf("signature: snapshot has %d counters, accumulator has %d", len(counters), len(a.counters))
 	}
-	copy(a.counters, counters)
 	a.total = total
 	return nil
 }

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrCorrupt is wrapped by every decode failure: truncation, a bad
@@ -340,54 +341,47 @@ func (d *Decoder) Bytes() []byte {
 	return d.take(d.count(1))
 }
 
-// U16s reads a length-prefixed []uint16 (nil when empty).
-func (d *Decoder) U16s() []uint16 {
+// AppendU16s reads a length-prefixed []uint16 and appends it to dst,
+// so a restore can decode into storage the receiver already owns.
+func (d *Decoder) AppendU16s(dst []uint16) []uint16 {
 	n := d.count(2)
-	if n == 0 {
-		return nil
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, d.U16())
 	}
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = d.U16()
-	}
-	return out
+	return dst
 }
 
-// U64s reads a length-prefixed []uint64 (nil when empty).
-func (d *Decoder) U64s() []uint64 {
+// AppendU64s reads a length-prefixed []uint64 and appends it to dst.
+func (d *Decoder) AppendU64s(dst []uint64) []uint64 {
 	n := d.count(8)
-	if n == 0 {
-		return nil
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, d.U64())
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.U64()
-	}
-	return out
+	return dst
 }
 
-// Ints reads a length-prefixed []int (nil when empty).
-func (d *Decoder) Ints() []int {
+// AppendInts reads a length-prefixed []int and appends it to dst.
+func (d *Decoder) AppendInts(dst []int) []int {
 	n := d.count(8)
-	if n == 0 {
-		return nil
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, d.Int())
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Int()
-	}
-	return out
+	return dst
 }
 
-// F64s reads a length-prefixed []float64 (nil when empty).
-func (d *Decoder) F64s() []float64 {
-	n := d.count(8)
-	if n == 0 {
-		return nil
+// Reuse returns s emptied, ready to be refilled with n elements by
+// append. It keeps s's backing array when that array holds n elements
+// without being more than about twice as large, and otherwise returns
+// a fresh array of capacity n: restoring into pooled storage then
+// allocates nothing in the steady state, yet a buffer that once held a
+// much larger payload is not pinned for good. n must already be
+// bounded against the payload (see Count).
+func Reuse[T any](s []T, n int) []T {
+	if c := cap(s); c >= n && c <= 2*n+8 {
+		return s[:0]
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.F64()
-	}
-	return out
+	return make([]T, 0, n)
 }

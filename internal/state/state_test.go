@@ -24,7 +24,6 @@ func encodeSample() []byte {
 	enc.U16s([]uint16{1, 2, 65535})
 	enc.U64s([]uint64{0, math.MaxUint64})
 	enc.Ints([]int{-1, 0, 1 << 40})
-	enc.F64s([]float64{0, -0.5, math.MaxFloat64})
 	return enc.Bytes()
 }
 
@@ -64,17 +63,14 @@ func decodeSample(t *testing.T, data []byte) {
 	if got := dec.String(); got != "" {
 		t.Errorf("empty String = %q", got)
 	}
-	if got := dec.U16s(); len(got) != 3 || got[2] != 65535 {
+	if got := dec.AppendU16s(nil); len(got) != 3 || got[2] != 65535 {
 		t.Errorf("U16s = %v", got)
 	}
-	if got := dec.U64s(); len(got) != 2 || got[1] != math.MaxUint64 {
+	if got := dec.AppendU64s(nil); len(got) != 2 || got[1] != math.MaxUint64 {
 		t.Errorf("U64s = %v", got)
 	}
-	if got := dec.Ints(); len(got) != 3 || got[0] != -1 || got[2] != 1<<40 {
+	if got := dec.AppendInts(nil); len(got) != 3 || got[0] != -1 || got[2] != 1<<40 {
 		t.Errorf("Ints = %v", got)
-	}
-	if got := dec.F64s(); len(got) != 3 || got[2] != math.MaxFloat64 {
-		t.Errorf("F64s = %v", got)
 	}
 	if err := dec.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -103,10 +99,9 @@ func TestDecoderTruncation(t *testing.T) {
 		dec.F64()
 		_ = dec.String()
 		_ = dec.String()
-		dec.U16s()
-		dec.U64s()
-		dec.Ints()
-		dec.F64s()
+		dec.AppendU16s(nil)
+		dec.AppendU64s(nil)
+		dec.AppendInts(nil)
 		if err := dec.Finish(); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("prefix %d/%d: err = %v, want ErrCorrupt", n, len(data), err)
 		}
@@ -179,10 +174,9 @@ func TestDecoderHugeCount(t *testing.T) {
 	enc.U32(math.MaxUint32) // claims 4 billion elements, provides none
 	for name, read := range map[string]func(*Decoder){
 		"string": func(d *Decoder) { _ = d.String() },
-		"u16s":   func(d *Decoder) { d.U16s() },
-		"u64s":   func(d *Decoder) { d.U64s() },
-		"ints":   func(d *Decoder) { d.Ints() },
-		"f64s":   func(d *Decoder) { d.F64s() },
+		"u16s":   func(d *Decoder) { d.AppendU16s(nil) },
+		"u64s":   func(d *Decoder) { d.AppendU64s(nil) },
+		"ints":   func(d *Decoder) { d.AppendInts(nil) },
 	} {
 		dec := NewDecoder(enc.Bytes())
 		read(dec)
@@ -207,13 +201,53 @@ func TestEmptySlicesDecodeNil(t *testing.T) {
 	enc.U64s(nil)
 	enc.Ints([]int{})
 	dec := NewDecoder(enc.Bytes())
-	if got := dec.U64s(); got != nil {
+	if got := dec.AppendU64s(nil); got != nil {
 		t.Errorf("empty U64s = %v, want nil", got)
 	}
-	if got := dec.Ints(); got != nil {
+	if got := dec.AppendInts(nil); got != nil {
 		t.Errorf("empty Ints = %v, want nil", got)
 	}
 	if err := dec.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendReadersDecodeInPlace: the slice readers append into the
+// caller's storage, so a restore that hands them a reused slice decodes
+// without allocating.
+func TestAppendReadersDecodeInPlace(t *testing.T) {
+	enc := AppendTo(nil)
+	enc.U16s([]uint16{7, 8})
+	enc.U64s([]uint64{1, 2, 3})
+	dec := NewDecoder(enc.Bytes())
+	u16 := make([]uint16, 1, 4)
+	if got := dec.AppendU16s(u16); len(got) != 3 || &got[0] != &u16[0] || got[1] != 7 || got[2] != 8 {
+		t.Errorf("AppendU16s = %v, want [0 7 8] in the caller's array", got)
+	}
+	u64 := make([]uint64, 0, 3)
+	if got := dec.AppendU64s(u64); len(got) != 3 || &got[0] != &u64[:1][0] || got[2] != 3 {
+		t.Errorf("AppendU64s = %v, want [1 2 3] in the caller's array", got)
+	}
+	if err := dec.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReuseBoundsRetainedCapacity: Reuse keeps a backing array that
+// fits the payload without being more than about twice its size, and
+// replaces one that is too small or far too large.
+func TestReuseBoundsRetainedCapacity(t *testing.T) {
+	fits := make([]int, 5, 16)
+	if got := Reuse(fits, 8); len(got) != 0 || cap(got) != 16 || &got[:1][0] != &fits[0] {
+		t.Errorf("Reuse(cap 16, 8): len %d cap %d, want the same array emptied", len(got), cap(got))
+	}
+	if got := Reuse(make([]int, 0, 4), 8); cap(got) < 8 {
+		t.Errorf("Reuse(cap 4, 8): cap %d, want >= 8", cap(got))
+	}
+	if got := Reuse(make([]int, 0, 400), 20); cap(got) != 20 {
+		t.Errorf("Reuse(cap 400, 20): cap %d, want a fresh array of 20", cap(got))
+	}
+	if got := Reuse([]int(nil), 0); got != nil {
+		t.Errorf("Reuse(nil, 0) = %v, want nil", got)
 	}
 }
