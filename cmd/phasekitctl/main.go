@@ -10,11 +10,12 @@
 //	phasekitctl -admin 127.0.0.1:9128 checkpoint
 //
 // status prints the node's cluster view: ring epoch, membership, and
-// stream/handoff counters. join adds (or re-addresses) a member and
-// moves its slice of the stream space to it — normally phasekitd's
-// -peers flag does this for you at startup. leave removes a member: a
-// live one ships its streams out first; a dead one's streams are
-// adopted by the survivors from the shared checkpoint store. rebalance
+// stream/assignment counters. join adds (or re-addresses) a member and
+// moves its slice of the stream space to it through the shared
+// checkpoint store — normally phasekitd's -peers flag does this for
+// you at startup. leave removes a member: a live one saves its streams
+// to the shared store first; a dead one's streams are adopted by the
+// survivors from its last checkpoints. rebalance
 // renumbers the current membership to a fresh epoch, fencing any
 // writer still on an older one, without moving streams. checkpoint
 // persists every resident stream to the node's store — a durability
@@ -49,7 +50,7 @@ verbs:
 
 func main() {
 	admin := flag.String("admin", "127.0.0.1:9128", "health/admin HTTP address of any cluster member")
-	timeout := flag.Duration("timeout", 30*time.Second, "request timeout (covers stream handoffs triggered by join/leave)")
+	timeout := flag.Duration("timeout", 30*time.Second, "request timeout (covers the stream migrations a join or leave triggers)")
 	flag.Usage = usage
 	flag.Parse()
 

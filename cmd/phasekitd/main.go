@@ -12,17 +12,20 @@
 //	phasekitd -addr :9127 -store dir -phases phases.log # per-interval phase log
 //
 // Cluster mode — each node owns a consistent-hash slice of the stream
-// space, redirects batches for streams it does not own, and hands
-// streams off (snapshot over the wire) when membership changes:
+// space and redirects batches for streams it does not own. Every
+// member mounts the same -store (required): when membership changes, a
+// stream moves by being checkpointed there by its old owner and
+// rehydrated from it by its new one:
 //
 //	phasekitd -addr :9127 -health :9128 -node-id n1 -node-addr 10.0.0.1:9127 -store /var/lib/phasekit
 //	phasekitd -addr :9127 -health :9128 -node-id n2 -node-addr 10.0.0.2:9127 -store /var/lib/phasekit \
 //	          -peers 10.0.0.1:9127
 //
-// Administer it with phasekitctl against the -health endpoint. With a
-// shared -store, a node that dies is recovered by `phasekitctl leave`:
-// the survivors adopt its streams from its last checkpoints, and epoch
-// fencing stops the dead node from overwriting them if it comes back.
+// Administer it with phasekitctl against the -health endpoint. A node
+// that dies is recovered by `phasekitctl leave` (or automatically by
+// the failure detector): the survivors adopt its streams from its last
+// checkpoints, and epoch fencing stops the dead node from overwriting
+// them if it comes back.
 //
 // Pipe a trace into it with phasesim:
 //
@@ -78,7 +81,7 @@ func main() {
 		probation  = flag.Duration("quarantine-probation", fleet.DefaultProbation, "initial quarantine window (doubles per relapse, jittered)")
 		phasesPath = flag.String("phases", "", "append per-interval phase IDs (\"stream index phase\" lines) to this file at drain")
 		verbose    = flag.Bool("v", false, "log connection-level diagnostics")
-		nodeID     = flag.String("node-id", "", "cluster member ID; enables cluster mode (ownership checks, redirects, handoffs)")
+		nodeID     = flag.String("node-id", "", "cluster member ID; enables cluster mode (ownership checks, redirects, migration through the shared -store, which it requires)")
 		nodeAddr   = flag.String("node-addr", "", "ingest address advertised to peers and redirected clients (default: -addr; must be reachable, not :port)")
 		peers      = flag.String("peers", "", "comma-separated ingest addresses of existing members to join through (empty = start a new cluster)")
 		hbInterval = flag.Duration("heartbeat-interval", time.Second, "failure-detector heartbeat period (0 = no failure detection)")
@@ -125,6 +128,9 @@ func main() {
 	if *nodeID == "" && (*nodeAddr != "" || *peers != "") {
 		logger.Fatal("-node-addr/-peers need -node-id (cluster mode)")
 	}
+	if *nodeID != "" && *storeDir == "" {
+		logger.Fatal("-node-id needs -store: cluster members move streams through a shared state directory")
+	}
 	var walMode wal.SyncMode
 	walOn := false
 	switch *walSync {
@@ -165,7 +171,7 @@ func main() {
 		}
 	}
 	var fence *cluster.FencedStore
-	if *nodeID != "" && fcfg.Store != nil {
+	if *nodeID != "" {
 		// Checkpoints carry the writer's ring epoch; the store refuses
 		// writes from epochs older than what it already holds, so a
 		// fenced-off former owner cannot clobber its successor's state.
@@ -352,8 +358,8 @@ func main() {
 	logger.Printf("serving on %s (store=%q resident=%d overload=%s)", srv.Addr(), *storeDir, *resident, *overload)
 
 	// Announce ourselves only after the listener is up: the seed pushes
-	// the new assignment (and possibly stream handoffs) back at us
-	// during the join round trip.
+	// the new assignment back at us during the join round trip, and
+	// peers may redirect clients here before it arrives.
 	if coord != nil && *peers != "" {
 		jctx, jcancel := context.WithTimeout(context.Background(), 30*time.Second)
 		if err := coord.Join(jctx, strings.Split(*peers, ",")); err != nil {

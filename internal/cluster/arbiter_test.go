@@ -204,7 +204,7 @@ func TestFenceV1PayloadRefused(t *testing.T) {
 }
 
 // newArbiterTestCoordinator builds a two-node coordinator over the
-// given fence (which may be nil).
+// given fence.
 func newArbiterTestCoordinator(t *testing.T, selfID string, fence *FencedStore) *Coordinator {
 	t.Helper()
 	f := fleet.New(fleet.Config{Shards: 1, Tracker: coordTrackerConfig()})
@@ -228,15 +228,14 @@ func newArbiterTestCoordinator(t *testing.T, selfID string, fence *FencedStore) 
 
 // TestTwoNodeFailoverRefusedWithoutArbiter: on a two-node ring both
 // sides of a partition self-confirm each other's death, so automatic
-// failover is allowed only when a shared store can arbitrate the epoch.
-// Without a fence — or with one over a store that cannot arbitrate —
-// the takeover is refused and the ring stands.
+// failover is allowed only when the shared store can arbitrate the
+// epoch. Over a store that cannot, the takeover is refused and the ring
+// stands.
 func TestTwoNodeFailoverRefusedWithoutArbiter(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		fence *FencedStore
 	}{
-		{"no fence", nil},
 		{"non-arbitrating store", NewFencedStore(newPlainStore(), 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,11 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"phasekit/internal/core"
 	"phasekit/internal/fleet"
@@ -46,27 +47,41 @@ func feedStream(t *testing.T, f *fleet.Fleet, stream string, n int) {
 	}
 }
 
-// TestCoordinatorStoreFallback pins the degraded handoff path: when the
-// new owner is unreachable, the migrating stream's snapshot lands in
-// the shared fenced store instead of being lost, and the stream leaves
-// this fleet.
-func TestCoordinatorStoreFallback(t *testing.T) {
-	mem := fleet.NewMemStore()
-	fence := NewFencedStore(mem, 1)
+// flakySaveStore fails its first Save, the shape of a store with a
+// transient outage.
+type flakySaveStore struct {
+	*fleet.MemStore
+	failed atomic.Bool
+}
+
+func (s *flakySaveStore) Save(stream string, snap []byte) error {
+	if s.failed.CompareAndSwap(false, true) {
+		return errors.New("transient store outage")
+	}
+	return s.MemStore.Save(stream, snap)
+}
+
+// TestCoordinatorMigratesThroughStore pins the one migration path: a
+// stream the new ring assigns elsewhere is detached and its snapshot
+// lands in the shared fenced store — through a retry when the first
+// save fails — and the stream leaves this fleet. No peer is contacted:
+// the new owner rehydrates from the store.
+func TestCoordinatorMigratesThroughStore(t *testing.T) {
+	inner := &flakySaveStore{MemStore: fleet.NewMemStore()}
+	fence := NewFencedStore(inner, 1)
 	f := fleet.New(fleet.Config{Shards: 2, Tracker: coordTrackerConfig(), Store: fence})
 	defer f.Close()
 
 	self := Node{ID: "n1", Addr: "127.0.0.1:1"}
 	ring1 := mustRing(t, 1, []Node{self})
 	co, err := NewCoordinator(CoordinatorConfig{
-		Self: self, Fleet: f, Initial: ring1, Fence: fence,
-		DialTimeout: 200 * time.Millisecond, Logf: t.Logf,
+		Self: self, Fleet: f, Initial: ring1, Fence: fence, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// port 1 refuses connections immediately: the peer is "down".
+	// Port 1 refuses connections: nothing may need to reach the peer.
 	ghost := Node{ID: "ghost", Addr: "127.0.0.1:1"}
 	ring2, err := ring1.WithJoin(ghost)
 	if err != nil {
@@ -82,83 +97,93 @@ func TestCoordinatorStoreFallback(t *testing.T) {
 	if co.Epoch() != 2 || fence.Epoch() != 2 {
 		t.Fatalf("epochs after flip: ring %d, fence %d", co.Epoch(), fence.Epoch())
 	}
+	if !inner.failed.Load() {
+		t.Fatal("the store's first save never ran")
+	}
 	// The stream migrated out of the fleet and into the store.
 	if !f.Detached(s) {
 		t.Fatalf("stream %q still accepted after migration", s)
 	}
 	snap, ok, err := fence.Load(s)
 	if err != nil || !ok || len(snap) == 0 {
-		t.Fatalf("store fallback snapshot: ok=%v len=%d err=%v", ok, len(snap), err)
+		t.Fatalf("migrated snapshot: ok=%v len=%d err=%v", ok, len(snap), err)
 	}
-	st := co.Status()
-	if st.StoreFallbacks != 1 || st.HandoffsOut != 0 {
-		t.Fatalf("status after fallback: %+v", st)
+	if m := f.Metrics(); m.Detaches != 1 || m.Adopts != 0 {
+		t.Fatalf("fleet after migration: %d detaches, %d adopts; want 1, 0 (no local re-adopt)", m.Detaches, m.Adopts)
 	}
 	// The entry-check answer for the migrated stream is now "redirect".
 	if addr, remote := co.OwnerIfRemote([]byte(s)); !remote || addr != ghost.Addr {
 		t.Fatalf("OwnerIfRemote(%q) = %q,%v after migration", s, addr, remote)
 	}
+
+	// The new owner resumes the stream bit-identically from the store.
+	f2 := fleet.New(fleet.Config{Shards: 1, Tracker: coordTrackerConfig(), Store: NewFencedStore(inner, 2)})
+	defer f2.Close()
+	ref := fleet.New(fleet.Config{Shards: 1, Tracker: coordTrackerConfig()})
+	defer ref.Close()
+	feedStream(t, ref, s, 300)
+	for _, fl := range []*fleet.Fleet{f2, ref} {
+		if err := fl.Send(fleet.Batch{Stream: s, Events: []trace.BranchEvent{{PC: 0x480000, Instrs: 100}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := f2.DetachStream(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.DetachStream(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("stream rehydrated from the store diverged from an unmigrated run")
+	}
 }
 
-// TestCoordinatorAdoptAhead pins the snapshot-before-ASSIGN window: a
-// handoff that arrives before the ring explaining it must be accepted,
-// owned (no redirect bounce), and reconciled at the next flip.
-func TestCoordinatorAdoptAhead(t *testing.T) {
-	// Build the snapshot on a donor fleet.
-	donor := fleet.New(fleet.Config{Shards: 1, Tracker: coordTrackerConfig()})
+// TestCoordinatorLeaveMigratesThenFlips pins the departed node's side
+// of a live leave: the first push of a ring without this node saves
+// every stream to the store but keeps the old ring, so its batches are
+// held rather than redirected to survivors still on that ring; a second
+// push of the same epoch flips it.
+func TestCoordinatorLeaveMigratesThenFlips(t *testing.T) {
+	fence := NewFencedStore(fleet.NewMemStore(), 2)
+	f := fleet.New(fleet.Config{Shards: 1, Tracker: coordTrackerConfig(), Store: fence})
+	defer f.Close()
 	self := Node{ID: "n2", Addr: "127.0.0.1:2"}
 	peer := Node{ID: "n1", Addr: "127.0.0.1:1"}
-	ring1 := mustRing(t, 1, []Node{self, peer})
-	s := streamOwnedBy(t, ring1, "n1") // currently the peer's stream
-	feedStream(t, donor, s, 300)
-	snap, err := donor.DetachStream(context.Background(), s)
+	ring2 := mustRing(t, 2, []Node{peer, self})
+	co, err := NewCoordinator(CoordinatorConfig{Self: self, Fleet: f, Initial: ring2, Fence: fence, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	donor.Close()
+	s := streamOwnedBy(t, ring2, "n2")
+	feedStream(t, f, s, 300)
 
-	f := fleet.New(fleet.Config{Shards: 2, Tracker: coordTrackerConfig()})
-	defer f.Close()
-	co, err := NewCoordinator(CoordinatorConfig{Self: self, Fleet: f, Initial: ring1, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
+	ring3 := mustRing(t, 3, []Node{peer})
+	if changed, err := co.ApplyAssign(ring3); changed || err != nil {
+		t.Fatalf("first push: changed=%v err=%v, want a migration without a flip", changed, err)
 	}
-
-	// Ring still says the peer owns s.
-	if _, remote := co.OwnerIfRemote([]byte(s)); !remote {
-		t.Fatalf("precondition: %q should be remote under ring1", s)
+	if co.Epoch() != 2 {
+		t.Fatalf("first push flipped the ring to epoch %d", co.Epoch())
 	}
-	// A zombie handoff (older epoch) is refused.
-	if err := co.AcceptHandoff(0, s, snap); !errors.Is(err, ErrStaleEpoch) {
-		t.Fatalf("stale handoff: %v, want ErrStaleEpoch", err)
-	}
-	// The real handoff runs at the epoch being applied cluster-wide,
-	// which this node has not seen yet.
-	if err := co.AcceptHandoff(2, s, snap); err != nil {
-		t.Fatalf("adopt ahead: %v", err)
-	}
-	// Adopted-ahead streams are owned even though the ring disagrees.
-	if addr, remote := co.OwnerIfRemote([]byte(s)); remote {
-		t.Fatalf("adopted-ahead stream redirected to %q", addr)
-	}
-	if err := f.Send(fleet.Batch{Stream: s, Events: []trace.BranchEvent{{PC: 0x400000, Instrs: 10}}}); err != nil {
-		t.Fatalf("send to adopted stream: %v", err)
-	}
-	if st := co.Status(); st.AdoptedAhead != 1 || st.HandoffsIn != 1 {
-		t.Fatalf("status: %+v", st)
-	}
-
-	// The ASSIGN arrives: under it this node owns everything (peer
-	// left), so the ahead set empties and ownership is plain again.
-	ring2 := mustRing(t, 2, []Node{self})
-	if _, err := co.ApplyAssign(ring2); err != nil {
-		t.Fatalf("ApplyAssign: %v", err)
-	}
-	if st := co.Status(); st.AdoptedAhead != 0 || st.ResidentStreams != 1 || st.OwnedStreams != 1 {
-		t.Fatalf("status after flip: %+v", st)
+	if _, ok, err := fence.Load(s); !ok || err != nil {
+		t.Fatalf("stream not saved on the first push: ok=%v err=%v", ok, err)
 	}
 	if _, remote := co.OwnerIfRemote([]byte(s)); remote {
-		t.Fatalf("owned stream still redirected after flip")
+		t.Fatal("departed node redirects before the survivors flipped")
+	}
+	if err := f.Send(fleet.Batch{Stream: s, Events: []trace.BranchEvent{{PC: 0x400000, Instrs: 10}}}); !errors.Is(err, fleet.ErrNotOwned) {
+		t.Fatalf("batch after the first push: %v, want ErrNotOwned (held by the detach fence)", err)
+	}
+
+	if changed, err := co.ApplyAssign(ring3); !changed || err != nil {
+		t.Fatalf("second push: changed=%v err=%v, want the flip", changed, err)
+	}
+	if addr, remote := co.OwnerIfRemote([]byte(s)); !remote || addr != peer.Addr {
+		t.Fatalf("after the flip OwnerIfRemote = %q,%v, want %q", addr, remote, peer.Addr)
+	}
+	if m := f.Metrics(); m.Detaches != 1 {
+		t.Fatalf("detaches = %d, want 1", m.Detaches)
 	}
 }
 
@@ -170,7 +195,8 @@ func TestCoordinatorApplyAssignValidation(t *testing.T) {
 	defer f.Close()
 	self := Node{ID: "n1", Addr: "127.0.0.1:1"}
 	ring2 := mustRing(t, 2, []Node{self, {ID: "n2", Addr: "127.0.0.1:2"}})
-	co, err := NewCoordinator(CoordinatorConfig{Self: self, Fleet: f, Initial: ring2})
+	fence := NewFencedStore(fleet.NewMemStore(), 2)
+	co, err := NewCoordinator(CoordinatorConfig{Self: self, Fleet: f, Initial: ring2, Fence: fence})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +217,16 @@ func TestCoordinatorApplyAssignValidation(t *testing.T) {
 	}
 
 	// Config validation.
-	if _, err := NewCoordinator(CoordinatorConfig{Fleet: f, Initial: ring2}); err == nil {
+	if _, err := NewCoordinator(CoordinatorConfig{Fleet: f, Initial: ring2, Fence: fence}); err == nil {
 		t.Fatal("missing self accepted")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Self: self, Initial: ring2}); err == nil {
+	if _, err := NewCoordinator(CoordinatorConfig{Self: self, Initial: ring2, Fence: fence}); err == nil {
 		t.Fatal("missing fleet accepted")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Self: Node{ID: "nx"}, Fleet: f, Initial: ring2}); !errors.Is(err, ErrUnknownNode) {
+	if _, err := NewCoordinator(CoordinatorConfig{Self: self, Fleet: f, Initial: ring2}); err == nil {
+		t.Fatal("missing shared store accepted")
+	}
+	if _, err := NewCoordinator(CoordinatorConfig{Self: Node{ID: "nx"}, Fleet: f, Initial: ring2, Fence: fence}); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("self outside ring: %v", err)
 	}
 }

@@ -9,12 +9,12 @@
 // seen and never step backwards (see State.Advance). Because only
 // ~1/N of the hash space moves on a membership change, most streams
 // keep their owner across a rebalance and only the migrating minority
-// pay a handoff.
+// pay a round trip through the shared store.
 //
-// Epochs are the fencing token for everything downstream: ASSIGN and
-// HANDOFF wire frames carry them, servers NACK stale ones, and
-// FencedStore refuses checkpoint writes from a node whose view of the
-// ring is older than what the shared store has already seen.
+// Epochs are the fencing token for everything downstream: ASSIGN wire
+// frames carry them, servers NACK stale ones, and FencedStore refuses
+// checkpoint writes from a node whose view of the ring is older than
+// what the shared store has already seen.
 package cluster
 
 import (

@@ -21,6 +21,7 @@ func TestTakeoverHookFiresOnRemovedMembers(t *testing.T) {
 	co, err := NewCoordinator(CoordinatorConfig{
 		Self: self, Fleet: f,
 		Initial: mustRing(t, 1, []Node{self, peer}),
+		Fence:   NewFencedStore(fleet.NewMemStore(), 1),
 		Logf:    t.Logf,
 	})
 	if err != nil {

@@ -76,7 +76,7 @@ type MetricsSnapshot struct {
 	// CanceledOps counts ctx-bounded operations (SendCtx, FlushCtx,
 	// SnapshotCtx, ...) abandoned with ErrCanceled or ErrDeadline.
 	CanceledOps uint64
-	// Detaches / Adopts count completed stream handoffs out of and into
+	// Detaches / Adopts count streams migrated out of and adopted into
 	// this Fleet (DetachStream / AdoptStream).
 	Detaches uint64
 	Adopts   uint64

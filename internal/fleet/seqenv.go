@@ -8,9 +8,9 @@ import (
 
 // tagSeqEnvelope frames a tracker snapshot together with the stream's
 // last applied batch sequence (streamEntry.seq). Every snapshot the
-// fleet writes — eviction, checkpoint, detach handoff — is wrapped so
-// the dedup watermark survives wherever the snapshot travels: the
-// store, a handoff frame, a crash replay. Snapshots read back are
+// fleet writes — eviction, checkpoint, detach — is wrapped so the
+// dedup watermark survives wherever the snapshot travels: the store, a
+// migration to another node, a crash replay. Snapshots read back are
 // unwrapped here, and one without the envelope is corrupt.
 const tagSeqEnvelope = 0xF5
 

@@ -156,16 +156,12 @@ func startChaosNode(t *testing.T, id, storeDir string, rec *PhaseRecorder, mesh 
 	}
 	n := &chaosNode{id: id, addr: ln.Addr().String(), serveErr: make(chan error, 1)}
 
-	fcfg := fleet.Config{Shards: 2, Tracker: testTrackerConfig(), OnInterval: rec.Record}
-	if storeDir != "" {
-		fs, err := fleet.NewFileStore(storeDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.fence = cluster.NewFencedStore(fs, 1)
-		fcfg.Store = n.fence
+	fs, err := fleet.NewFileStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	n.fleet = fleet.New(fcfg)
+	n.fence = cluster.NewFencedStore(fs, 1)
+	n.fleet = fleet.New(fleet.Config{Shards: 2, Tracker: testTrackerConfig(), OnInterval: rec.Record, Store: n.fence})
 
 	self := cluster.Node{ID: id, Addr: n.addr}
 	initial, err := cluster.NewRing(1, []cluster.Node{self})
@@ -265,10 +261,8 @@ func (n *chaosNode) shutdown(t *testing.T) {
 	if err := <-n.serveErr; err != nil {
 		t.Fatalf("%s: serve: %v", n.id, err)
 	}
-	if n.fence != nil {
-		if err := n.fleet.CheckpointCtx(ctx); err != nil {
-			t.Fatalf("%s: checkpoint: %v", n.id, err)
-		}
+	if err := n.fleet.CheckpointCtx(ctx); err != nil {
+		t.Fatalf("%s: checkpoint: %v", n.id, err)
 	}
 	n.fleet.Close()
 	n.det.Stop()
@@ -489,10 +483,11 @@ func TestClusterOneWayPartitionHeals(t *testing.T) {
 
 	mesh := faults.NewMesh(0x9a27)
 	clock := faults.NewClock(time.Unix(1_000_000, 0))
+	storeDir := t.TempDir()
 	rec := NewPhaseRecorder()
-	n1 := startChaosNode(t, "n1", "", rec, mesh, clock)
-	n2 := startChaosNode(t, "n2", "", rec, mesh, clock)
-	n3 := startChaosNode(t, "n3", "", rec, mesh, clock)
+	n1 := startChaosNode(t, "n1", storeDir, rec, mesh, clock)
+	n2 := startChaosNode(t, "n2", storeDir, rec, mesh, clock)
+	n3 := startChaosNode(t, "n3", storeDir, rec, mesh, clock)
 	n2.join(t, n1.addr)
 	n3.join(t, n1.addr)
 	for _, n := range []*chaosNode{n1, n2, n3} {

@@ -17,17 +17,19 @@ import (
 //	               503 otherwise (load balancers stop routing new
 //	               connections during drain).
 //	GET /metricz — a JSON snapshot of server and fleet counters (plus
-//	               the cluster view when clustered).
+//	               the cluster view when clustered; streams moved in
+//	               and out are the fleet's Adopts and Detaches).
 //
 // In cluster mode (Config.Cluster set) it is also the admin endpoint
 // phasekitctl drives:
 //
 //	GET  /clusterz           — node ID, ring epoch, membership, stream
-//	                           and handoff counters.
+//	                           and assignment counters.
 //	POST /cluster/join       — ?id=&addr=: add (or re-address) a member
 //	                           and rebalance toward it.
 //	POST /cluster/leave      — ?id=: remove a member; if it is still
-//	                           alive it ships its streams first.
+//	                           alive it saves its streams to the shared
+//	                           store first.
 //	POST /cluster/rebalance  — renumber the membership to a fresh epoch
 //	                           (fences stale writers; no streams move).
 //

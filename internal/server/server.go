@@ -88,7 +88,7 @@ type Config struct {
 	// Cluster, if non-nil, makes the server a cluster member: batches
 	// for streams the ring assigns elsewhere are answered with
 	// NACK(REDIRECT, owner-addr) instead of ingested, and the control
-	// frames (JOIN, ASSIGN, HANDOFF_SNAPSHOT) are dispatched to the
+	// frames (JOIN, ASSIGN, PING, PROBE) are dispatched to the
 	// coordinator. Nil means standalone — the ownership check costs one
 	// branch.
 	Cluster *cluster.Coordinator
@@ -161,11 +161,9 @@ type Metrics struct {
 	// whichever path answered them.
 	Bursts      uint64
 	BurstFrames uint64
-	// Redirects counts batches NACKed to their owning node; Handoffs
-	// counts stream snapshots accepted from a previous owner. Both stay
+	// Redirects counts batches NACKed to their owning node. It stays
 	// zero outside cluster mode.
 	Redirects uint64
-	Handoffs  uint64
 	// Pings and Probes count failure-detector heartbeats and quorum
 	// probes answered. Both stay zero outside cluster mode.
 	Pings  uint64
@@ -195,7 +193,7 @@ type Server struct {
 	draining atomic.Bool
 
 	conns64, frames, acks, nacks, malformed, dead atomic.Uint64
-	bursts, burstFrames, redirects, handoffs      atomic.Uint64
+	bursts, burstFrames, redirects                atomic.Uint64
 	pings, probes, walFails                       atomic.Uint64
 }
 
@@ -243,7 +241,6 @@ func (s *Server) Metrics() Metrics {
 		Bursts:      s.bursts.Load(),
 		BurstFrames: s.burstFrames.Load(),
 		Redirects:   s.redirects.Load(),
-		Handoffs:    s.handoffs.Load(),
 		Pings:       s.pings.Load(),
 		Probes:      s.probes.Load(),
 		WALFailures: s.walFails.Load(),
@@ -538,8 +535,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		defer stopResponder()
 	}
 	var rbuf, wbuf []byte
-	for !s.draining.Load() {
+	for {
+		// Arm the deadline before checking draining: Shutdown sets
+		// draining before it expires every read deadline, so either
+		// this check sees it or Shutdown's deadline replaces ours.
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		if s.draining.Load() {
+			return
+		}
 		payload, err := wire.ReadFrame(br, rbuf, s.cfg.MaxFrame)
 		if err != nil {
 			if cs.pipe != nil && !cs.pipe.ended.CompareAndSwap(false, true) {
@@ -641,19 +644,12 @@ func (s *Server) controlFrame(fr wire.FrameView, wbuf []byte) []byte {
 		s.acks.Add(1)
 		return wire.AppendPingAckFrame(wbuf, fr.Seq,
 			wire.NodeInfo{ID: self.ID, Addr: self.Addr}, epoch, member, ringHash)
-	case wire.TagProbe:
+	default: // wire.TagProbe
 		// The probe's subject rides the Node.ID field.
 		rep := co.HandleProbe(fr.Node.ID)
 		s.probes.Add(1)
 		s.acks.Add(1)
 		return wire.AppendProbeAckFrame(wbuf, fr.Seq, uint8(rep.State), uint64(rep.Age.Milliseconds()), rep.Known)
-	default: // wire.TagHandoffSnapshot
-		if err := co.AcceptHandoff(fr.Epoch, string(fr.Stream), fr.Snap); err != nil {
-			return s.nack(wbuf, fr.Seq, clusterNackCode(err), err.Error())
-		}
-		s.handoffs.Add(1)
-		s.acks.Add(1)
-		return wire.AppendHandoffAckFrame(wbuf, fr.Seq, fr.Epoch)
 	}
 }
 
@@ -665,11 +661,11 @@ func clusterNackCode(err error) uint8 {
 	return wire.NackInternal
 }
 
-// awaitRedirect answers a batch that hit the fleet's handoff fence
+// awaitRedirect answers a batch that hit the fleet's detach fence
 // (fleet.ErrNotOwned). The fence goes up before the ring flips — so the
-// stream's snapshot reaches its new owner before any client is sent
-// there — which means the right answer here is usually "wait a moment,
-// then redirect". Bounded by the ingest timeout, like any other
+// stream's checkpoint reaches the shared store before any client is
+// sent to its new owner — which means the right answer here is usually
+// "wait a moment, then redirect". Bounded by the ingest timeout, like any other
 // backpressure wait.
 func (s *Server) awaitRedirect(stream string) (addr string, ok bool) {
 	deadline := time.Now().Add(s.cfg.IngestTimeout)
@@ -746,8 +742,7 @@ func (s *Server) stageFrame(cs *connState, payload []byte) {
 			shard:  int32(si),
 			runIdx: int32(len(rb.batches) - 1),
 		})
-	case wire.TagJoin, wire.TagAssign, wire.TagHandoffSnapshot,
-		wire.TagPing, wire.TagProbe:
+	case wire.TagJoin, wire.TagAssign, wire.TagPing, wire.TagProbe:
 		buf.recycle()
 		// Barrier, like a flush: staged batches must reach their shards
 		// before ownership changes, so they land in the snapshot of any
@@ -959,7 +954,7 @@ func (s *Server) ingestResult(wbuf []byte, seq uint64, err error, stream string)
 	case errors.Is(err, fleet.ErrQuarantined):
 		return s.nack(wbuf, seq, wire.NackQuarantined, err.Error())
 	case errors.Is(err, fleet.ErrNotOwned):
-		// The stream's handoff fence went up after this batch passed the
+		// The stream's detach fence went up after this batch passed the
 		// entry ownership check: ownership is moving right now. Hold on
 		// until the ring flips, then send the client to the new owner.
 		if s.cfg.Cluster != nil && stream != "" {

@@ -95,7 +95,7 @@ func (e *Encoder) String(s string) {
 
 // Blob writes a length-prefixed byte field — the encode counterpart of
 // Decoder.Bytes, for payloads that embed opaque byte strings (snapshot
-// blobs in handoff frames) without a string conversion.
+// blobs in fenced or sequence envelopes) without a string conversion.
 func (e *Encoder) Blob(b []byte) {
 	e.U32(uint32(len(b)))
 	e.buf = append(e.buf, b...)

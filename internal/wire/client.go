@@ -182,9 +182,13 @@ func (c *Client) FollowRedirects(dial func(addr string, timeout time.Duration) (
 	if dial == nil {
 		dial = Dial
 	}
+	// The primary is also the peer for its own address: a stream
+	// redirected back to the primary's node must ride the primary, the
+	// connection target picks for its new batches, or re-homed frames
+	// and new ones reach the owner on two connections, out of order.
 	c.rt = &router{
 		dial:   dial,
-		peers:  map[string]*Client{},
+		peers:  map[string]*Client{c.addr: c},
 		routes: map[string]string{},
 	}
 	c.rt.all = append(c.rt.all, c)
@@ -622,7 +626,7 @@ func (c *Client) readResponse() error {
 	inf := c.pending[0]
 	c.pending = c.pending[1:]
 	switch fr.Tag {
-	case TagAck, TagHandoffAck:
+	case TagAck:
 		if fr.Seq != inf.seq {
 			return fmt.Errorf("wire: ack for frame %d, want %d", fr.Seq, inf.seq)
 		}
@@ -915,30 +919,6 @@ func (c *Client) SendAssign(ring RingInfo) error {
 	c.seq++
 	c.wbuf = AppendAssignFrame(c.wbuf[:0], c.seq, ring)
 	return c.roundTrip(c.seq)
-}
-
-// SendHandoff ships a drained stream's snapshot to its new owner and
-// waits for the HandoffAck. A node that follows a newer ring than
-// epoch refuses with NackStaleEpoch.
-func (c *Client) SendHandoff(epoch uint64, stream string, snap []byte) error {
-	if len(c.pending) > 0 {
-		if err := c.Drain(); err != nil {
-			return err
-		}
-	}
-	c.seq++
-	c.wbuf = AppendHandoffFrame(c.wbuf[:0], c.seq, epoch, stream, snap)
-	fr, err := c.roundTripFrame()
-	if err != nil {
-		return err
-	}
-	if fr.Tag != TagHandoffAck {
-		return fmt.Errorf("wire: handoff answered with tag %#02x", fr.Tag)
-	}
-	if fr.Seq != c.seq {
-		return fmt.Errorf("wire: handoff ack for frame %d, want %d", fr.Seq, c.seq)
-	}
-	return nil
 }
 
 // PingResult is a peer's answer to a heartbeat: its identity, the ring

@@ -22,13 +22,14 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(AppendJoinFrame(nil, 5, NodeInfo{ID: "n2", Addr: "10.0.0.2:9127"}))
 	f.Add(AppendAssignFrame(nil, 6, RingInfo{Epoch: 3, Nodes: []NodeInfo{
 		{ID: "n1", Addr: "10.0.0.1:9127"}, {ID: "n2", Addr: "10.0.0.2:9127"}}}))
-	f.Add(AppendHandoffFrame(nil, 7, 3, "stream-a", []byte{0x10, 1, 2, 3}))
-	f.Add(AppendHandoffAckFrame(nil, 8, 3))
+	// Retired handoff layouts (tags 0x37 and 0x38): refused as unknown.
+	f.Add([]byte{4, 0, 0, 0, 0x37, 1, 0, 0})
+	f.Add([]byte{4, 0, 0, 0, 0x38, 1, 0, 0})
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{4, 0, 0, 0, TagBatch, 1, 0, 0})
 	f.Add([]byte{4, 0, 0, 0, TagAssign, 1, 0, 0})
-	f.Add([]byte{4, 0, 0, 0, TagHandoffSnapshot, 1, 0, 0})
+	f.Add([]byte{4, 0, 0, 0, TagPing, 1, 0, 0})
 
 	const maxFrame = 1 << 12
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -73,10 +74,6 @@ func FuzzWireFrame(f *testing.F) {
 				re = AppendJoinFrame(nil, fr.Seq, fr.Node)
 			case TagAssign:
 				re = AppendAssignFrame(nil, fr.Seq, fr.Ring)
-			case TagHandoffSnapshot:
-				re = AppendHandoffFrame(nil, fr.Seq, fr.Epoch, fr.Stream, fr.Snap)
-			case TagHandoffAck:
-				re = AppendHandoffAckFrame(nil, fr.Seq, fr.Epoch)
 			}
 			payload2, err := ReadFrame(bytes.NewReader(re), nil, 0)
 			if err != nil {

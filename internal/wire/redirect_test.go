@@ -24,6 +24,7 @@ type fakeNode struct {
 	mu       sync.Mutex
 	accepted []Batch // batches this node acked, in arrival order
 	seen     int     // batch frames seen (acked or redirected)
+	conns    int     // connections accepted
 	script   func(nth int, b Batch) (redirectTo string)
 }
 
@@ -49,6 +50,9 @@ func (n *fakeNode) acceptLoop() {
 		if err != nil {
 			return
 		}
+		n.mu.Lock()
+		n.conns++
+		n.mu.Unlock()
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
@@ -190,6 +194,58 @@ func TestClientFollowsMidWindowRedirect(t *testing.T) {
 	pcs := b.acceptedPCs()
 	if pcs[len(pcs)-1] != 9999 {
 		t.Fatalf("post-migration batch missing on new owner: %v", pcs)
+	}
+}
+
+// TestClientRedirectBackToPrimary: a stream that moves from the
+// primary's node to another and back again rides the primary connection
+// once more. The frames the second node redirects and the batches
+// queued after them share that one connection, so the owner receives
+// them in send order.
+func TestClientRedirectBackToPrimary(t *testing.T) {
+	var a, b *fakeNode
+	a = newFakeNode(t, func(_ int, bt Batch) string {
+		if pc := bt.Events[0].PC; pc >= 1003 && pc < 1008 {
+			return b.addr()
+		}
+		return ""
+	})
+	b = newFakeNode(t, func(_ int, bt Batch) string {
+		if bt.Events[0].PC >= 1008 {
+			return a.addr()
+		}
+		return ""
+	})
+	c, err := Dial(a.addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.FollowRedirects(nil)
+	c.Window = 4
+	for i := 0; i < 16; i++ {
+		if err := c.QueueBatch("s", 0, []trace.BranchEvent{{PC: uint64(1000 + i), Instrs: 10}}, false); err != nil {
+			t.Fatalf("queue %d: %v", i, err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	want := []uint64{1000, 1001, 1002, 1008, 1009, 1010, 1011, 1012, 1013, 1014, 1015}
+	if got := a.acceptedPCs(); len(got) != len(want) {
+		t.Fatalf("node a accepted %v, want %v", got, want)
+	} else {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("node a accepted %v, want %v", got, want)
+			}
+		}
+	}
+	a.mu.Lock()
+	conns := a.conns
+	a.mu.Unlock()
+	if conns != 1 {
+		t.Fatalf("node a saw %d connections, want the primary alone", conns)
 	}
 }
 

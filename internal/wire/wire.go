@@ -23,11 +23,9 @@
 // Cluster control frames share the same framing (see internal/cluster
 // for the protocol they implement):
 //
-//	Join            v1: seq u64, id string, addr string
-//	Assign          v1: seq u64, epoch u64,
-//	                    nodes u32 count + (id string, addr string) each
-//	HandoffSnapshot v1: seq u64, epoch u64, stream string, snap bytes
-//	HandoffAck      v1: seq u64, epoch u64
+//	Join   v1: seq u64, id string, addr string
+//	Assign v1: seq u64, epoch u64,
+//	           nodes u32 count + (id string, addr string) each
 //
 // The length prefix is bounded by a max-frame guard before any
 // allocation, and the payload decoder (state.Decoder) bounds every
@@ -73,13 +71,12 @@ const (
 	TagAck   = 0x33
 	TagNack  = 0x34
 	// Cluster control frames: a node announcing itself (Join, answered
-	// by an Assign carrying the new ring), an epoch-numbered membership
-	// push (Assign, answered by Ack or NackStaleEpoch), and stream
-	// migration (HandoffSnapshot, answered by HandoffAck or a Nack).
-	TagJoin            = 0x35
-	TagAssign          = 0x36
-	TagHandoffSnapshot = 0x37
-	TagHandoffAck      = 0x38
+	// by an Assign carrying the new ring) and an epoch-numbered
+	// membership push (Assign, answered by Ack or NackStaleEpoch).
+	// Streams move between nodes through the shared store, not the
+	// wire; 0x37 and 0x38 are retired.
+	TagJoin   = 0x35
+	TagAssign = 0x36
 
 	// Self-healing control frames. Ping/PingAck carry the failure
 	// detector's heartbeats (and each side's ring epoch, so a lagging
@@ -127,8 +124,7 @@ const (
 	// there and re-send the refused frame (wire.Client does this
 	// transparently once redirect following is enabled).
 	NackRedirect = 7
-	// NackStaleEpoch: a control frame (Assign, HandoffSnapshot) carried
-	// a ring epoch older than the receiver's — the sender is a fenced
+	// NackStaleEpoch: an Assign carried a ring epoch older than the receiver's — the sender is a fenced
 	// stale writer and must refresh its ring before retrying.
 	NackStaleEpoch = 8
 )
@@ -202,10 +198,8 @@ type RingInfo struct {
 // Frame is one decoded payload. Tag selects which fields are
 // meaningful: Batch for TagBatch; Seq for TagFlush/TagAck/TagNack;
 // Code and Detail for TagNack; Node for TagJoin; Ring for TagAssign;
-// Epoch, Stream and Snap for TagHandoffSnapshot; Epoch for
-// TagHandoffAck; Node and Epoch for TagPing, plus Member and RingHash
-// for TagPingAck; Node.ID for TagProbe, plus State/AgeMs/Known for
-// TagProbeAck.
+// Node and Epoch for TagPing, plus Member and RingHash for TagPingAck;
+// Node.ID for TagProbe, plus State/AgeMs/Known for TagProbeAck.
 type Frame struct {
 	Tag    byte
 	Batch  Batch
@@ -213,11 +207,9 @@ type Frame struct {
 	Code   uint8
 	Detail string
 
-	Epoch  uint64
-	Node   NodeInfo
-	Ring   RingInfo
-	Stream string
-	Snap   []byte
+	Epoch uint64
+	Node  NodeInfo
+	Ring  RingInfo
 
 	Member   bool   // PingAck: is the pinger still in the responder's ring?
 	RingHash uint64 // PingAck: responder's ring membership hash (0 = not carried)
@@ -242,14 +234,11 @@ type FrameView struct {
 	Code        uint8
 	Detail      []byte
 
-	// Control-frame fields. Stream doubles as the handoff stream name
-	// and Snap as the handoff snapshot (both views into the payload);
-	// Node and Ring are decoded as owned values — control frames are
-	// rare, so the allocation does not matter.
+	// Control-frame fields. Node and Ring are decoded as owned values —
+	// control frames are rare, so the allocation does not matter.
 	Epoch uint64
 	Node  NodeInfo
 	Ring  RingInfo
-	Snap  []byte
 
 	Member   bool
 	RingHash uint64
@@ -339,27 +328,6 @@ func AppendAssignFrame(dst []byte, seq uint64, ring RingInfo) []byte {
 			e.String(n.ID)
 			e.String(n.Addr)
 		}
-	})
-}
-
-// AppendHandoffFrame appends a framed stream-handoff snapshot to dst.
-func AppendHandoffFrame(dst []byte, seq, epoch uint64, stream string, snap []byte) []byte {
-	return appendFrame(dst, func(e *state.Encoder) {
-		e.Section(TagHandoffSnapshot, ctrlVersion)
-		e.U64(seq)
-		e.U64(epoch)
-		e.String(stream)
-		e.Blob(snap)
-	})
-}
-
-// AppendHandoffAckFrame appends a framed handoff acknowledgement to
-// dst.
-func AppendHandoffAckFrame(dst []byte, seq, epoch uint64) []byte {
-	return appendFrame(dst, func(e *state.Encoder) {
-		e.Section(TagHandoffAck, ctrlVersion)
-		e.U64(seq)
-		e.U64(epoch)
 	})
 }
 
@@ -500,18 +468,6 @@ func DecodeFrame(payload []byte) (Frame, error) {
 				f.Ring.Nodes[i] = NodeInfo{ID: d.String(), Addr: d.String()}
 			}
 		}
-	case TagHandoffSnapshot:
-		d.Section(TagHandoffSnapshot, ctrlVersion)
-		f.Seq = d.U64()
-		f.Epoch = d.U64()
-		f.Stream = d.String()
-		if b := d.Bytes(); len(b) > 0 {
-			f.Snap = append([]byte(nil), b...)
-		}
-	case TagHandoffAck:
-		d.Section(TagHandoffAck, ctrlVersion)
-		f.Seq = d.U64()
-		f.Epoch = d.U64()
 	case TagPing:
 		d.Section(TagPing, ctrlVersion)
 		f.Seq = d.U64()
@@ -608,16 +564,6 @@ func DecodeFrameView(payload []byte, events []trace.BranchEvent) (FrameView, err
 				f.Ring.Nodes[i] = NodeInfo{ID: d.String(), Addr: d.String()}
 			}
 		}
-	case TagHandoffSnapshot:
-		d.Section(TagHandoffSnapshot, ctrlVersion)
-		f.Seq = d.U64()
-		f.Epoch = d.U64()
-		f.Stream = d.Bytes()
-		f.Snap = d.Bytes()
-	case TagHandoffAck:
-		d.Section(TagHandoffAck, ctrlVersion)
-		f.Seq = d.U64()
-		f.Epoch = d.U64()
 	case TagPing:
 		d.Section(TagPing, ctrlVersion)
 		f.Seq = d.U64()

@@ -158,9 +158,9 @@ func TestDecodeMalformedPreservesStream(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownTagAndTrailer(t *testing.T) {
-	// 0x3D is a retired tag: both decode paths must refuse it like any
-	// unassigned one.
-	for _, tag := range []byte{0x7f, 0x3D} {
+	// 0x37 and 0x38 (the wire snapshot handoff) and 0x3D are retired
+	// tags: both decode paths must refuse them like any unassigned one.
+	for _, tag := range []byte{0x7f, 0x37, 0x38, 0x3D} {
 		if _, err := DecodeFrame([]byte{tag, 1, 0, 0}); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "unknown tag") {
 			t.Fatalf("tag %#02x: %v, want ErrMalformed unknown tag", tag, err)
 		}
@@ -273,19 +273,6 @@ func TestControlFrameFieldRoundTrips(t *testing.T) {
 		if n != ring.Nodes[i] {
 			t.Fatalf("assign node %d: %+v, want %+v", i, n, ring.Nodes[i])
 		}
-	}
-	snap := []byte{0x10, 1, 0xfe, 3, 0}
-	f = roundTrip(t, AppendHandoffFrame(nil, 8, 7, "tenant/42", snap))
-	if f.Tag != TagHandoffSnapshot || f.Seq != 8 || f.Epoch != 7 || f.Stream != "tenant/42" || !bytes.Equal(f.Snap, snap) {
-		t.Fatalf("handoff: %+v", f)
-	}
-	// Empty snapshots survive too (a handoff of a never-fed stream).
-	f = roundTrip(t, AppendHandoffFrame(nil, 9, 7, "s", nil))
-	if f.Stream != "s" || len(f.Snap) != 0 {
-		t.Fatalf("empty handoff: %+v", f)
-	}
-	if f := roundTrip(t, AppendHandoffAckFrame(nil, 10, 7)); f.Tag != TagHandoffAck || f.Seq != 10 || f.Epoch != 7 {
-		t.Fatalf("handoff ack: %+v", f)
 	}
 }
 
