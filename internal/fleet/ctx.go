@@ -52,10 +52,12 @@ func (f *Fleet) SendCtx(ctx context.Context, b Batch) error {
 		f.metrics.canceledOps.Add(1)
 		return ctxFail(ctx)
 	}
+	sh := f.shardFor(b.Stream)
+	sh.admitMu.RLock()
+	defer sh.admitMu.RUnlock()
 	if err := f.admit(b.Stream); err != nil {
 		return err
 	}
-	sh := f.shardFor(b.Stream)
 	msg := shardMsg{kind: msgBatch, batch: b}
 	if f.cfg.Overload == OverloadReject {
 		select {
@@ -103,47 +105,43 @@ func (f *Fleet) FlushCtx(ctx context.Context) error {
 	return nil
 }
 
+// streamCall delivers one stream's message to the stream's shard and
+// waits for the reply, both bounded by ctx. queued reports whether the
+// message reached the shard's queue: a call canceled after that still
+// runs on the shard (the reply channel is buffered), unobserved.
+func (f *Fleet) streamCall(ctx context.Context, msg shardMsg) (r shardReport, queued bool, err error) {
+	reply := make(chan shardReport, 1)
+	msg.report = reply
+	select {
+	case f.shardFor(msg.stream).ch <- msg:
+	case <-ctx.Done():
+		f.metrics.canceledOps.Add(1)
+		return r, false, ctxFail(ctx)
+	}
+	select {
+	case r = <-reply:
+		return r, true, nil
+	case <-ctx.Done():
+		f.metrics.canceledOps.Add(1)
+		return r, true, ctxFail(ctx)
+	}
+}
+
 // ReportCtx is Report bounded by a context.
 func (f *Fleet) ReportCtx(ctx context.Context, stream string) (core.Report, bool, error) {
-	reply := make(chan shardReport, 1)
-	sh := f.shardFor(stream)
-	select {
-	case sh.ch <- shardMsg{kind: msgReport, stream: stream, report: reply}:
-	case <-ctx.Done():
-		f.metrics.canceledOps.Add(1)
-		return core.Report{}, false, ctxFail(ctx)
+	r, _, err := f.streamCall(ctx, shardMsg{kind: msgReport, stream: stream})
+	if err != nil || !r.ok {
+		return core.Report{}, false, err
 	}
-	select {
-	case r := <-reply:
-		if !r.ok {
-			return core.Report{}, false, nil
-		}
-		return r.reports[stream], true, nil
-	case <-ctx.Done():
-		f.metrics.canceledOps.Add(1)
-		return core.Report{}, false, ctxFail(ctx)
-	}
+	return r.reports[stream], true, nil
 }
 
 // StreamErrCtx is StreamErr bounded by a context. The returned error is
 // the stream's latched failure; the second error reports cancellation
 // of the query itself.
 func (f *Fleet) StreamErrCtx(ctx context.Context, stream string) (error, error) {
-	reply := make(chan shardReport, 1)
-	sh := f.shardFor(stream)
-	select {
-	case sh.ch <- shardMsg{kind: msgStreamErr, stream: stream, report: reply}:
-	case <-ctx.Done():
-		f.metrics.canceledOps.Add(1)
-		return nil, ctxFail(ctx)
-	}
-	select {
-	case r := <-reply:
-		return r.err, nil
-	case <-ctx.Done():
-		f.metrics.canceledOps.Add(1)
-		return nil, ctxFail(ctx)
-	}
+	r, _, err := f.streamCall(ctx, shardMsg{kind: msgStreamErr, stream: stream})
+	return r.err, err
 }
 
 // SnapshotCtx is Snapshot bounded by a context. On cancellation it
