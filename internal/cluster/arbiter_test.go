@@ -33,11 +33,14 @@ func (s *plainStore) Save(stream string, snap []byte) error {
 	return nil
 }
 
-func (s *plainStore) Load(stream string) ([]byte, bool, error) {
+func (s *plainStore) Load(dst []byte, stream string) ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.m[stream]
-	return b, ok, nil
+	if !ok {
+		return nil, false, nil
+	}
+	return append(dst[:0], b...), true, nil
 }
 
 // TestAllocateEpochConcurrentClaimsDistinct: any number of concurrent
@@ -143,7 +146,7 @@ func encodeFenced(t *testing.T, epoch uint64, writer string, snap []byte) []byte
 	if err := fs.Save("x", snap); err != nil {
 		t.Fatal(err)
 	}
-	raw, ok, err := scratch.Load("x")
+	raw, ok, err := scratch.Load(nil, "x")
 	if err != nil || !ok {
 		t.Fatalf("scratch load: ok=%v err=%v", ok, err)
 	}
@@ -169,7 +172,7 @@ func TestFencedStoreEqualEpochTiebreak(t *testing.T) {
 		if !errors.As(err, &pe) || !pe.StorePermanent() {
 			t.Fatalf("tiebreak refusal not marked permanent: %v", err)
 		}
-		snap, _, _ := fs.Load("s")
+		snap, _, _ := fs.Load(nil, "s")
 		if !bytes.Equal(snap, []byte("from-n1")) {
 			t.Fatalf("final payload %q, want the smaller ID's", snap)
 		}
@@ -183,7 +186,7 @@ func TestFencedStoreEqualEpochTiebreak(t *testing.T) {
 		if err := fs.Save("s", []byte("from-n1")); err != nil {
 			t.Fatalf("smaller-ID writer: %v", err)
 		}
-		snap, _, _ := fs.Load("s")
+		snap, _, _ := fs.Load(nil, "s")
 		if !bytes.Equal(snap, []byte("from-n1")) {
 			t.Fatalf("final payload %q, want the smaller ID's", snap)
 		}
@@ -292,7 +295,7 @@ func TestSymmetricPartitionTakeoversTotallyOrdered(t *testing.T) {
 	if err := loser.Save("s", []byte("loser")); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("loser save: %v, want ErrStaleEpoch", err)
 	}
-	snap, _, err := winner.Load("s")
+	snap, _, err := winner.Load(nil, "s")
 	if err != nil || !bytes.Equal(snap, []byte("winner")) {
 		t.Fatalf("final payload %q err=%v, want winner's", snap, err)
 	}

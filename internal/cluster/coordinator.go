@@ -389,7 +389,7 @@ func (c *Coordinator) adoptStored(next *Ring) {
 func (c *Coordinator) adoptOrphan(stream string) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.opTimeout)
 	defer cancel()
-	snap, ok, err := c.fence.Load(stream)
+	snap, ok, err := c.fence.Load(nil, stream)
 	if err != nil {
 		c.log("takeover %q: store read failed, adoption skipped: %v", stream, err)
 		return

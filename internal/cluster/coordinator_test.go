@@ -104,7 +104,7 @@ func TestCoordinatorMigratesThroughStore(t *testing.T) {
 	if !f.Detached(s) {
 		t.Fatalf("stream %q still accepted after migration", s)
 	}
-	snap, ok, err := fence.Load(s)
+	snap, ok, err := fence.Load(nil, s)
 	if err != nil || !ok || len(snap) == 0 {
 		t.Fatalf("migrated snapshot: ok=%v len=%d err=%v", ok, len(snap), err)
 	}
@@ -166,7 +166,7 @@ func TestCoordinatorLeaveMigratesThenFlips(t *testing.T) {
 	if co.Epoch() != 2 {
 		t.Fatalf("first push flipped the ring to epoch %d", co.Epoch())
 	}
-	if _, ok, err := fence.Load(s); !ok || err != nil {
+	if _, ok, err := fence.Load(nil, s); !ok || err != nil {
 		t.Fatalf("stream not saved on the first push: ok=%v err=%v", ok, err)
 	}
 	if _, remote := co.OwnerIfRemote([]byte(s)); remote {

@@ -163,7 +163,8 @@ func (s *FencedStore) Save(stream string, snapshot []byte) error {
 	}
 	mine := s.epoch.Load()
 	me := s.writerID()
-	if _, stored, _, ok, err := s.load(stream); err == nil && ok && stored > mine {
+	buf, _, stored, _, ok, err := s.load(nil, stream) // buf serves the read-backs too
+	if err == nil && ok && stored > mine {
 		return &fencedWriteError{fmt.Errorf("%w: store holds epoch %d for %q, writer at %d",
 			ErrStaleEpoch, stored, stream, mine)}
 	} else if err != nil {
@@ -180,7 +181,10 @@ func (s *FencedStore) Save(stream string, snapshot []byte) error {
 		if err := s.inner.Save(stream, enc.Bytes()); err != nil {
 			return err
 		}
-		_, stored, storedBy, ok, err := s.load(stream)
+		raw, _, stored, storedBy, ok, err := s.load(buf, stream)
+		if raw != nil {
+			buf = raw
+		}
 		switch {
 		case err != nil:
 			return err
@@ -217,35 +221,44 @@ func (s *FencedStore) List() ([]string, error) {
 	return nil, nil
 }
 
-// Load returns the stream's snapshot with the fence prefix stripped. A
-// payload without a current fence prefix is fleet.ErrSnapshotCorrupt.
-func (s *FencedStore) Load(stream string) ([]byte, bool, error) {
-	snap, _, _, ok, err := s.load(stream)
-	return snap, ok, err
+// Load copies the stream's snapshot into dst's storage with the fence
+// prefix stripped. A payload without a current fence prefix is
+// fleet.ErrSnapshotCorrupt.
+func (s *FencedStore) Load(dst []byte, stream string) ([]byte, bool, error) {
+	raw, snap, _, _, ok, err := s.load(dst, stream)
+	if err != nil || !ok {
+		return nil, ok, err
+	}
+	// Slide the snapshot to the front of the caller's buffer, so the
+	// storage it returns is the storage it was given.
+	return raw[:copy(raw, snap)], true, nil
 }
 
 // LoadEpoch reports the epoch the stream's checkpoint was written at.
 func (s *FencedStore) LoadEpoch(stream string) (uint64, bool, error) {
-	_, epoch, _, ok, err := s.load(stream)
+	_, _, epoch, _, ok, err := s.load(nil, stream)
 	return epoch, ok, err
 }
 
-func (s *FencedStore) load(stream string) (snap []byte, epoch uint64, writer string, ok bool, err error) {
-	raw, ok, err := s.inner.Load(stream)
+// load reads the stream's fenced payload into dst's storage and
+// decodes its prefix. raw is the whole payload, for a caller to reuse
+// as its next dst; snap, the wrapped snapshot, is a view into raw.
+func (s *FencedStore) load(dst []byte, stream string) (raw, snap []byte, epoch uint64, writer string, ok bool, err error) {
+	raw, ok, err = s.inner.Load(dst, stream)
 	if err != nil || !ok {
-		return nil, 0, "", ok, err
+		return nil, nil, 0, "", ok, err
 	}
 	dec := state.NewDecoder(raw)
 	if v := dec.Section(TagFence, fenceVersion); v != 0 && v != fenceVersion {
-		return nil, 0, "", true, fmt.Errorf("%w: fence prefix for %q: version %d, want %d",
+		return nil, nil, 0, "", true, fmt.Errorf("%w: fence prefix for %q: version %d, want %d",
 			fleet.ErrSnapshotCorrupt, stream, v, fenceVersion)
 	}
 	epoch = dec.U64()
 	writer = dec.String()
 	snap = dec.Bytes()
 	if err := dec.Finish(); err != nil {
-		return nil, 0, "", true, fmt.Errorf("%w: fence prefix for %q: %w",
+		return nil, nil, 0, "", true, fmt.Errorf("%w: fence prefix for %q: %w",
 			fleet.ErrSnapshotCorrupt, stream, err)
 	}
-	return snap, epoch, writer, true, nil
+	return raw, snap, epoch, writer, true, nil
 }

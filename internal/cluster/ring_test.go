@@ -190,7 +190,7 @@ func TestFencedStoreRoundTripAndFencing(t *testing.T) {
 	if err := writer.Save("s", snap); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	got, ok, err := writer.Load("s")
+	got, ok, err := writer.Load(nil, "s")
 	if err != nil || !ok || string(got) != string(snap) {
 		t.Fatalf("load: %q %v %v", got, ok, err)
 	}
@@ -206,7 +206,7 @@ func TestFencedStoreRoundTripAndFencing(t *testing.T) {
 	if err := writer.Save("s", snap); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("zombie save: %v", err)
 	}
-	if got, _, _ := successor.Load("s"); string(got) != string([]byte{9}) {
+	if got, _, _ := successor.Load(nil, "s"); string(got) != string([]byte{9}) {
 		t.Fatalf("zombie clobbered successor: %q", got)
 	}
 	// Equal epoch re-save is fine (same owner checkpointing again).
@@ -214,7 +214,7 @@ func TestFencedStoreRoundTripAndFencing(t *testing.T) {
 		t.Fatalf("re-save: %v", err)
 	}
 	// Missing stream.
-	if _, ok, err := writer.Load("nope"); ok || err != nil {
+	if _, ok, err := writer.Load(nil, "nope"); ok || err != nil {
 		t.Fatalf("missing: %v %v", ok, err)
 	}
 }
@@ -249,7 +249,7 @@ func assertFenceRefuses(t *testing.T, raw []byte) {
 	}
 	fs := NewFencedStore(inner, 5)
 	fs.SetWriter("n1")
-	if snap, _, err := fs.Load("s"); !errors.Is(err, fleet.ErrSnapshotCorrupt) {
+	if snap, _, err := fs.Load(nil, "s"); !errors.Is(err, fleet.ErrSnapshotCorrupt) {
 		t.Fatalf("load: %q err=%v, want ErrSnapshotCorrupt", snap, err)
 	}
 	if _, _, err := fs.LoadEpoch("s"); !errors.Is(err, fleet.ErrSnapshotCorrupt) {
@@ -258,7 +258,7 @@ func assertFenceRefuses(t *testing.T, raw []byte) {
 	if err := fs.Save("s", []byte{1}); err == nil {
 		t.Fatal("save over an unreadable fence succeeded")
 	}
-	if got, _, err := inner.Load("s"); err != nil || string(got) != string(raw) {
+	if got, _, err := inner.Load(nil, "s"); err != nil || string(got) != string(raw) {
 		t.Fatalf("stored payload changed by a refused save: %q err=%v", got, err)
 	}
 }

@@ -78,7 +78,7 @@ func concurrentTakeoverOneWinner(t *testing.T, open func(t *testing.T, round int
 		if err != nil || !ok || epoch != 5 {
 			t.Fatalf("round %d: final epoch %d ok=%v err=%v, want 5", round, epoch, ok, err)
 		}
-		snap, ok, err := newOwner.Load("s")
+		snap, ok, err := newOwner.Load(nil, "s")
 		if err != nil || !ok || !bytes.Equal(snap, newSnap) {
 			t.Fatalf("round %d: final payload %q ok=%v err=%v, want epoch-5 payload", round, snap, ok, err)
 		}
@@ -100,7 +100,7 @@ func TestFencedStoreZombieRefused(t *testing.T) {
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("zombie write: %v, want ErrStaleEpoch", err)
 	}
-	snap, _, err := survivor.Load("s")
+	snap, _, err := survivor.Load(nil, "s")
 	if err != nil || !bytes.Equal(snap, []byte("survivor")) {
 		t.Fatalf("payload after zombie attempt: %q err=%v", snap, err)
 	}

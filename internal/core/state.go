@@ -272,10 +272,12 @@ func (t *Tracker) Restore(data []byte) error {
 // RestoreInto restores a snapshot into t in place, decoding into the
 // tables t already owns instead of building new ones: restoring into a
 // tracker that once held a stream of similar size allocates only the
-// stream name and the change tables' prediction sets. Afterwards t is
-// indistinguishable from a tracker built by NewTracker and restored
-// with Tracker.Restore — same interval results, same Report, same
-// snapshot bytes — whatever stream it held before.
+// stream name (the change tables build each way's prediction set when
+// it is first probed). The snapshot is only read, never retained, so
+// its buffer may be reused as soon as RestoreInto returns. Afterwards
+// t is indistinguishable from a tracker built by NewTracker and
+// restored with Tracker.Restore — same interval results, same Report,
+// same snapshot bytes — whatever stream it held before.
 //
 // The price is atomicity. On error t may hold part of the payload: it
 // is left reusable (a later successful RestoreInto or Restore

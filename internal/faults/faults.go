@@ -26,7 +26,7 @@ import (
 // identical to fleet.StateStore.
 type StateStore interface {
 	Save(stream string, snapshot []byte) error
-	Load(stream string) (snapshot []byte, ok bool, err error)
+	Load(dst []byte, stream string) (snapshot []byte, ok bool, err error)
 }
 
 // ErrInjected is the class of every failure this package injects.
@@ -187,12 +187,12 @@ func (s *Store) Save(stream string, snapshot []byte) error {
 
 // Load forwards to the inner store unless the schedule injects a
 // failure.
-func (s *Store) Load(stream string) ([]byte, bool, error) {
+func (s *Store) Load(dst []byte, stream string) ([]byte, bool, error) {
 	s.loads.Add(1)
 	op, fail, _ := s.decide()
 	s.delay(op)
 	if !fail {
-		return s.inner.Load(stream)
+		return s.inner.Load(dst, stream)
 	}
 	s.injected.Add(1)
 	return nil, false, fmt.Errorf("%w: load op %d", ErrInjected, op)

@@ -26,11 +26,14 @@ func (s *memStore) Save(stream string, snap []byte) error {
 	return nil
 }
 
-func (s *memStore) Load(stream string) ([]byte, bool, error) {
+func (s *memStore) Load(dst []byte, stream string) ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap, ok := s.m[stream]
-	return snap, ok, nil
+	if !ok {
+		return nil, false, nil
+	}
+	return append(dst[:0], snap...), true, nil
 }
 
 // failPattern drives n alternating save/load operations and records
@@ -42,7 +45,7 @@ func failPattern(s *faults.Store, n int) []int {
 		if op%2 == 1 {
 			err = s.Save("s", []byte("payload"))
 		} else {
-			_, _, err = s.Load("s")
+			_, _, err = s.Load(nil, "s")
 		}
 		if err != nil {
 			failed = append(failed, op)
@@ -141,7 +144,7 @@ func TestTornWrite(t *testing.T) {
 	}
 	// The inner store received the first half of the payload — the torn
 	// bytes are really there, waiting for an integrity check to catch.
-	snap, ok, _ := inner.Load("s")
+	snap, ok, _ := inner.Load(nil, "s")
 	if !ok || string(snap) != "abcd" {
 		t.Fatalf("inner store holds %q after torn write, want %q", snap, "abcd")
 	}

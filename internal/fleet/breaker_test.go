@@ -138,11 +138,11 @@ func (s *gateStore) Save(stream string, snap []byte) error {
 	return s.mem.Save(stream, snap)
 }
 
-func (s *gateStore) Load(stream string) ([]byte, bool, error) {
+func (s *gateStore) Load(dst []byte, stream string) ([]byte, bool, error) {
 	if s.failLoad.Load() {
 		return nil, false, errStoreDown
 	}
-	return s.mem.Load(stream)
+	return s.mem.Load(dst, stream)
 }
 
 // TestBreakerSuspendsEviction is the degradation acceptance test: a

@@ -461,8 +461,8 @@ func (e *diskFullError) Error() string { return fmt.Sprintf("disk full (%d bytes
 
 type typedFailStore struct{}
 
-func (typedFailStore) Save(string, []byte) error         { return &diskFullError{Free: 42} }
-func (typedFailStore) Load(string) ([]byte, bool, error) { return nil, false, nil }
+func (typedFailStore) Save(string, []byte) error                 { return &diskFullError{Free: 42} }
+func (typedFailStore) Load([]byte, string) ([]byte, bool, error) { return nil, false, nil }
 
 // TestRejectOverload stresses the Reject overload policy under the
 // race detector: concurrent producers against a tiny queue, with exact
@@ -542,7 +542,7 @@ func TestRetrierHealthyPathAllocs(t *testing.T) {
 		if err := r.save(x, "stream", buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := r.load(x, "stream"); err != nil {
+		if _, _, err := r.load(x, buf, "stream"); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -553,5 +553,5 @@ func TestRetrierHealthyPathAllocs(t *testing.T) {
 
 type nullStore struct{}
 
-func (nullStore) Save(string, []byte) error         { return nil }
-func (nullStore) Load(string) ([]byte, bool, error) { return nil, false, nil }
+func (nullStore) Save(string, []byte) error                 { return nil }
+func (nullStore) Load([]byte, string) ([]byte, bool, error) { return nil, false, nil }

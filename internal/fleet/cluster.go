@@ -219,15 +219,13 @@ func (f *Fleet) detachStream(sh *shard, stream string) shardReport {
 		if !e.pending && f.retr != nil {
 			// Evicted at an interval boundary: the store's snapshot is
 			// current, so hand that off without rebuilding a tracker.
-			snap, ok, err := f.retr.load(sh.rng, stream)
+			// Loaded into a fresh buffer: the reply crosses goroutines.
+			snap, _, err := f.retr.load(sh.rng, nil, stream)
 			if err != nil {
 				return shardReport{err: f.failStream(e, stream, "detach-load", err, true)}
 			}
 			e.detached = true
-			if !ok {
-				return shardReport{ok: true}
-			}
-			return shardReport{ok: true, snap: append([]byte(nil), snap...)}
+			return shardReport{ok: true, snap: snap}
 		}
 		// Mid-interval eviction: rehydrate so the handoff carries the
 		// open interval too.

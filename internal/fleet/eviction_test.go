@@ -361,5 +361,5 @@ var errSaveFailed = errors.New("store full")
 // failingStore rejects every Save and holds nothing.
 type failingStore struct{}
 
-func (failingStore) Save(string, []byte) error         { return errSaveFailed }
-func (failingStore) Load(string) ([]byte, bool, error) { return nil, false, nil }
+func (failingStore) Save(string, []byte) error                 { return errSaveFailed }
+func (failingStore) Load([]byte, string) ([]byte, bool, error) { return nil, false, nil }

@@ -355,6 +355,7 @@ type shard struct {
 	quota   int             // max resident trackers; 0 = unlimited
 	snapBuf []byte          // reusable eviction snapshot buffer
 	envBuf  []byte          // reusable seq-envelope buffer wrapping snapBuf
+	loadBuf []byte          // reusable buffer rehydration loads into
 	rng     *rng.Xoshiro256 // deterministic retry-backoff jitter
 	// free holds tracker shells recycled from eviction and throwaway
 	// reads. Rehydration decodes a snapshot into a shell's own tables
@@ -829,7 +830,7 @@ func (f *Fleet) rehydrate(sh *shard, stream string) (*core.Tracker, uint64, erro
 	if f.retr == nil {
 		return core.NewTracker(stream, f.cfg.Tracker), 0, nil
 	}
-	raw, ok, err := f.retr.load(sh.rng, stream)
+	raw, ok, err := f.retr.load(sh.rng, sh.loadBuf, stream)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -838,6 +839,9 @@ func (f *Fleet) rehydrate(sh *shard, stream string) (*core.Tracker, uint64, erro
 		// never a pooled shell.
 		return core.NewTracker(stream, f.cfg.Tracker), 0, nil
 	}
+	// The restore below copies everything it keeps out of raw, so the
+	// buffer serves the shard's next load.
+	sh.loadBuf = raw
 	seq, snap, err := openSeqEnvelope(raw)
 	if err != nil {
 		return nil, 0, err

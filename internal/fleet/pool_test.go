@@ -7,10 +7,13 @@ package fleet
 // pooling mechanics.
 
 import (
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"phasekit/internal/core"
+	"phasekit/internal/trace"
 )
 
 // TestShellPoolRecycles drives two streams through a one-resident
@@ -113,7 +116,7 @@ func TestShellPoolSurvivesCorruptRestore(t *testing.T) {
 	// Touch the other stream so the victim is the one evicted.
 	f.Send(work[names[1]][4])
 	f.Flush()
-	snap, ok, err := store.Load(victim)
+	snap, ok, err := store.Load(nil, victim)
 	if !ok || err != nil {
 		t.Fatalf("no snapshot for %q: ok=%v err=%v", victim, ok, err)
 	}
@@ -133,4 +136,68 @@ func TestShellPoolSurvivesCorruptRestore(t *testing.T) {
 		t.Fatalf("healthy stream reported error: %v", err)
 	}
 	f.Close()
+}
+
+// TestEvictRehydrateAllocs pins the eviction round trip through a
+// MemStore at one allocation. With one resident slot and two streams
+// alternating batches, every batch evicts one stream (snapshot into the
+// shard's buffers, Save over the stored copy in place) and rehydrates
+// the other (Load into the shard's load buffer, RestoreInto a pooled
+// shell). Once those buffers have grown, the only allocation left is
+// the stream name the restored shell adopts.
+func TestEvictRehydrateAllocs(t *testing.T) {
+	store := &countingStore{MemStore: NewMemStore()}
+	f := New(Config{Shards: 1, MaxResident: 1, Store: store, Tracker: testConfig()})
+	defer f.Close()
+	// Warm both streams' tables over many intervals, then close each
+	// stream's open interval, so the measured batches below cross no
+	// interval boundary and time the round trip alone.
+	work := evictionWorkload(2, 4000)
+	names := make([]string, 0, len(work))
+	for name := range work {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i := range work[names[0]] {
+		for _, name := range names {
+			if bs := work[name]; i < len(bs) {
+				f.Send(bs[i])
+			}
+		}
+	}
+	for _, name := range names {
+		f.Send(Batch{Stream: name, EndInterval: true})
+	}
+	f.Flush()
+
+	applied := make(chan struct{}, 1)
+	recycle := func() { applied <- struct{}{} }
+	events := []trace.BranchEvent{{PC: 0x400000, Instrs: 1}}
+	next := 0
+	cycle := func() {
+		f.Send(Batch{Stream: names[next%2], Events: events, Recycle: recycle})
+		<-applied
+		next++
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	before := store.loads.Load()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 1 {
+		t.Fatalf("evict + rehydrate round trip made %.2f allocations, want <= 1 (the stream name)", allocs)
+	}
+	if loads := store.loads.Load() - before; loads < 100 {
+		t.Fatalf("%d rehydrations in 101 alternating batches: the round trip was not exercised", loads)
+	}
+}
+
+// countingStore counts a MemStore's loads.
+type countingStore struct {
+	*MemStore
+	loads atomic.Int64
+}
+
+func (s *countingStore) Load(dst []byte, stream string) ([]byte, bool, error) {
+	s.loads.Add(1)
+	return s.MemStore.Load(dst, stream)
 }

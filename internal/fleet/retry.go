@@ -151,19 +151,20 @@ func (r *retrier) retrySave(x *rng.Xoshiro256, stream string, snap []byte, err e
 	return err
 }
 
-// load runs StateStore.Load under the retry and breaker policy.
-func (r *retrier) load(x *rng.Xoshiro256, stream string) ([]byte, bool, error) {
+// load runs StateStore.Load into dst under the retry and breaker
+// policy.
+func (r *retrier) load(x *rng.Xoshiro256, dst []byte, stream string) ([]byte, bool, error) {
 	if !r.breaker.allow() {
 		r.metrics.breakerFastFails.Add(1)
 		r.metrics.loadFailures.Add(1)
 		return nil, false, ErrStoreUnavailable
 	}
-	snap, ok, err := r.store.Load(stream)
+	snap, ok, err := r.store.Load(dst, stream)
 	if err == nil {
 		r.breaker.onSuccess(opLoad)
 		return snap, ok, nil
 	}
-	snap, ok, err = r.retryLoad(x, stream, err)
+	snap, ok, err = r.retryLoad(x, dst, stream, err)
 	if err != nil {
 		r.metrics.loadFailures.Add(1)
 	}
@@ -171,13 +172,13 @@ func (r *retrier) load(x *rng.Xoshiro256, stream string) ([]byte, bool, error) {
 }
 
 // retryLoad is the cold path of load: every attempt after the first.
-func (r *retrier) retryLoad(x *rng.Xoshiro256, stream string, err error) ([]byte, bool, error) {
+func (r *retrier) retryLoad(x *rng.Xoshiro256, dst []byte, stream string, err error) ([]byte, bool, error) {
 	for k := 0; k < r.policy.MaxRetries && !permanent(err); k++ {
 		r.sleep(r.backoff(x, k))
 		r.metrics.loadRetries.Add(1)
 		var snap []byte
 		var ok bool
-		if snap, ok, err = r.store.Load(stream); err == nil {
+		if snap, ok, err = r.store.Load(dst, stream); err == nil {
 			r.breaker.onSuccess(opLoad)
 			return snap, ok, nil
 		}

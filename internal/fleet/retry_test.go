@@ -35,12 +35,12 @@ func (s *flakyStore) Save(stream string, snap []byte) error {
 	return s.mem.Save(stream, snap)
 }
 
-func (s *flakyStore) Load(stream string) ([]byte, bool, error) {
+func (s *flakyStore) Load(dst []byte, stream string) ([]byte, bool, error) {
 	s.loads++
 	if s.loads <= s.failLoads {
 		return nil, false, errFlaky
 	}
-	return s.mem.Load(stream)
+	return s.mem.Load(dst, stream)
 }
 
 func newTestRetrier(store StateStore, p RetryPolicy, sleeps *[]time.Duration) *retrier {
@@ -98,7 +98,7 @@ func TestRetryMasksTransientFailures(t *testing.T) {
 	}
 
 	sleeps = sleeps[:0]
-	snap, ok, err := r.load(x, "s")
+	snap, ok, err := r.load(x, nil, "s")
 	if err != nil || !ok || string(snap) != "state" {
 		t.Fatalf("load = %q, %v, %v", snap, ok, err)
 	}
@@ -138,7 +138,7 @@ func TestPermanentErrorsSkipRetries(t *testing.T) {
 	r := newTestRetrier(store, RetryPolicy{MaxRetries: 5}, &sleeps)
 	r.breaker = newBreaker(BreakerPolicy{Threshold: 1, Cooldown: time.Minute}, time.Now, &trips)
 
-	_, _, err := r.load(rng.NewXoshiro256(1), "s")
+	_, _, err := r.load(rng.NewXoshiro256(1), nil, "s")
 	if !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("load = %v, want ErrSnapshotCorrupt", err)
 	}
@@ -156,7 +156,7 @@ func TestPermanentErrorsSkipRetries(t *testing.T) {
 type corruptLoadStore struct{ loads int }
 
 func (s *corruptLoadStore) Save(string, []byte) error { return nil }
-func (s *corruptLoadStore) Load(string) ([]byte, bool, error) {
+func (s *corruptLoadStore) Load([]byte, string) ([]byte, bool, error) {
 	s.loads++
 	return nil, false, fmt.Errorf("decoding header: %w", ErrSnapshotCorrupt)
 }

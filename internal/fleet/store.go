@@ -3,8 +3,10 @@ package fleet
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,6 +22,13 @@ import (
 // snapshot for the stream; Load returns ok=false when the stream has
 // never been saved.
 //
+// Snapshots cross the interface in memory the caller owns, both ways:
+// Save's argument is the caller's to reuse once Save returns, and
+// Load copies out into a buffer the caller supplies. A store may
+// therefore overwrite its stored bytes in place, and a caller may
+// decode, keep or reuse what Load returned without racing later
+// Saves of the same stream.
+//
 // Error contract: a Load error wrapping ErrSnapshotCorrupt (or
 // ErrSnapshotTooLarge) means the stored bytes are bad — the Fleet
 // quarantines the stream and never retries. Any other error is treated
@@ -29,9 +38,12 @@ type StateStore interface {
 	// The snapshot slice is owned by the caller; implementations must
 	// copy it if they retain it.
 	Save(stream string, snapshot []byte) error
-	// Load returns the most recent snapshot for a stream. The returned
-	// slice is owned by the store; callers must not modify it.
-	Load(stream string) (snapshot []byte, ok bool, err error)
+	// Load copies the most recent snapshot for a stream into memory
+	// the caller owns: the returned slice reuses dst's storage when
+	// the snapshot fits in cap(dst) and is freshly allocated otherwise,
+	// and it never aliases the store's own memory. dst's contents are
+	// overwritten. The slice is nil when ok is false or err is set.
+	Load(dst []byte, stream string) (snapshot []byte, ok bool, err error)
 }
 
 // MemStore is an in-memory StateStore: evicted trackers survive as
@@ -51,22 +63,34 @@ func NewMemStore() *MemStore {
 	return &MemStore{snaps: make(map[string][]byte)}
 }
 
-// Save stores a copy of the snapshot.
+// Save stores a copy of the snapshot, overwriting the stream's stored
+// buffer in place while the snapshot fits and the buffer is at most
+// about twice its size (the rule of state.Reuse): a stream evicted
+// again and again keeps one buffer instead of a fresh copy per save.
+// A new buffer is sized by append, up to its allocation size class.
+// That slack costs no memory the allocator would not hand out anyway,
+// and a stream whose tables are still filling saves into it many times
+// before it has to regrow.
 func (s *MemStore) Save(stream string, snapshot []byte) error {
-	cp := make([]byte, len(snapshot))
-	copy(cp, snapshot)
 	s.mu.Lock()
-	s.snaps[stream] = cp
+	buf := s.snaps[stream]
+	if n := len(snapshot); cap(buf) < n || cap(buf) > 2*n+8 {
+		buf = nil
+	}
+	s.snaps[stream] = append(buf[:0], snapshot...)
 	s.mu.Unlock()
 	return nil
 }
 
-// Load returns the stored snapshot for stream.
-func (s *MemStore) Load(stream string) ([]byte, bool, error) {
+// Load copies the stored snapshot for stream into dst's storage.
+func (s *MemStore) Load(dst []byte, stream string) ([]byte, bool, error) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	snap, ok := s.snaps[stream]
-	s.mu.RUnlock()
-	return snap, ok, nil
+	if !ok {
+		return nil, false, nil
+	}
+	return append(dst[:0], snap...), true, nil
 }
 
 // Len returns the number of streams with a stored snapshot.
@@ -134,10 +158,7 @@ func (s *MemStore) Corrupt(stream string, i int, flip bool) bool {
 		return false
 	}
 	if flip {
-		cp := make([]byte, len(snap))
-		copy(cp, snap)
-		cp[i] ^= 0x80
-		s.snaps[stream] = cp
+		snap[i] ^= 0x80 // Load copies out, so no reader sees the flip land
 	} else {
 		s.snaps[stream] = snap[:i]
 	}
@@ -413,6 +434,7 @@ func (s *FileStore) recover() error {
 	if err != nil {
 		return fmt.Errorf("fleet: scanning state dir: %w", err)
 	}
+	var buf []byte // one read buffer for the whole scan
 	for _, ent := range entries {
 		name := ent.Name()
 		if ent.IsDir() {
@@ -428,7 +450,7 @@ func (s *FileStore) recover() error {
 			continue
 		}
 		s.stats.Scanned++
-		if _, err := s.readVerified(path); err != nil {
+		if buf, err = s.readVerified(buf, path); err != nil {
 			s.stats.Corrupt++
 			s.quarantine(path)
 		}
@@ -436,25 +458,33 @@ func (s *FileStore) recover() error {
 	return nil
 }
 
-// readVerified reads a snapshot file, enforcing the size limit before
-// allocating and the CRC32C trailer after, and returns the payload
-// with the trailer stripped. Integrity failures wrap
-// ErrSnapshotCorrupt / ErrSnapshotTooLarge.
-func (s *FileStore) readVerified(path string) ([]byte, error) {
-	info, err := os.Stat(path)
+// readVerified reads a snapshot file into dst's storage, enforcing the
+// size limit before allocating and the CRC32C trailer after, and
+// returns the payload with the trailer stripped. Integrity failures
+// wrap ErrSnapshotCorrupt / ErrSnapshotTooLarge.
+func (s *FileStore) readVerified(dst []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if info.Size() > s.limit+crcSize {
-		return nil, fmt.Errorf("%w: %s is %d bytes (limit %d)",
-			ErrSnapshotTooLarge, filepath.Base(path), info.Size(), s.limit)
-	}
-	if info.Size() < crcSize {
-		return nil, fmt.Errorf("%w: %s is %d bytes, shorter than its checksum trailer",
-			ErrSnapshotCorrupt, filepath.Base(path), info.Size())
-	}
-	data, err := os.ReadFile(path)
+	defer f.Close()
+	info, err := f.Stat()
 	if err != nil {
+		return nil, err
+	}
+	size := info.Size()
+	if size > s.limit+crcSize {
+		return nil, fmt.Errorf("%w: %s is %d bytes (limit %d)",
+			ErrSnapshotTooLarge, filepath.Base(path), size, s.limit)
+	}
+	if size < crcSize {
+		return nil, fmt.Errorf("%w: %s is %d bytes, shorter than its checksum trailer",
+			ErrSnapshotCorrupt, filepath.Base(path), size)
+	}
+	// Snapshot files are written whole and renamed into place, never
+	// written where they lie, so the open file keeps the size just read.
+	data := slices.Grow(dst[:0], int(size))[:size]
+	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, err
 	}
 	payload, trailer := data[:len(data)-crcSize], data[len(data)-crcSize:]
@@ -543,9 +573,9 @@ func syncDir(dir string) error {
 // fails verification is quarantined and reported as ErrSnapshotCorrupt
 // (or ErrSnapshotTooLarge), so one bad snapshot can never poison
 // subsequent loads.
-func (s *FileStore) Load(stream string) ([]byte, bool, error) {
+func (s *FileStore) Load(dst []byte, stream string) ([]byte, bool, error) {
 	path := s.path(stream)
-	payload, err := s.readVerified(path)
+	payload, err := s.readVerified(dst, path)
 	if os.IsNotExist(err) {
 		return nil, false, nil
 	}

@@ -44,12 +44,12 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		if err := s.Save(stream, payload); err != nil {
 			t.Fatalf("Save(%q): %v", stream, err)
 		}
-		got, ok, err := s.Load(stream)
+		got, ok, err := s.Load(nil, stream)
 		if err != nil || !ok || string(got) != string(payload) {
 			t.Fatalf("Load(%q) = %q, %v, %v", stream, got, ok, err)
 		}
 	}
-	if _, ok, err := s.Load("never-saved"); ok || err != nil {
+	if _, ok, err := s.Load(nil, "never-saved"); ok || err != nil {
 		t.Fatalf("Load(missing) = ok=%v err=%v, want not found", ok, err)
 	}
 }
@@ -83,7 +83,7 @@ func TestFileStoreCRCDetection(t *testing.T) {
 			}
 			mode.damage(t, s.path("victim"))
 
-			_, ok, err := s.Load("victim")
+			_, ok, err := s.Load(nil, "victim")
 			if ok || !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("Load of damaged file = ok=%v err=%v, want ErrSnapshotCorrupt", ok, err)
 			}
@@ -92,7 +92,7 @@ func TestFileStoreCRCDetection(t *testing.T) {
 			if q := quarantined(t, dir); len(q) != 1 {
 				t.Fatalf("quarantine holds %v, want the damaged file", q)
 			}
-			if _, ok, err := s.Load("victim"); ok || err != nil {
+			if _, ok, err := s.Load(nil, "victim"); ok || err != nil {
 				t.Fatalf("Load after quarantine = ok=%v err=%v, want clean not-found", ok, err)
 			}
 		})
@@ -120,7 +120,7 @@ func TestFileStoreSizeLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetSizeLimit(8)
-	_, ok, err := s.Load("ok")
+	_, ok, err := s.Load(nil, "ok")
 	if ok || !errors.Is(err, ErrSnapshotTooLarge) {
 		t.Fatalf("oversized Load = ok=%v err=%v, want ErrSnapshotTooLarge", ok, err)
 	}
@@ -151,7 +151,7 @@ func TestFileStoreRecoveryScan(t *testing.T) {
 	if stats.Scanned != 3 || stats.Orphans != 1 || stats.Corrupt != 2 {
 		t.Fatalf("recovery stats = %+v, want {Scanned:3 Orphans:1 Corrupt:2}", stats)
 	}
-	if got, ok, err := s2.Load("good"); err != nil || !ok || string(got) != "valid snapshot" {
+	if got, ok, err := s2.Load(nil, "good"); err != nil || !ok || string(got) != "valid snapshot" {
 		t.Fatalf("valid snapshot lost in recovery: %q, %v, %v", got, ok, err)
 	}
 	if q := quarantined(t, dir); len(q) != 3 {
@@ -176,7 +176,7 @@ func TestFileStoreCrashBeforeRename(t *testing.T) {
 		t.Fatalf("Save under injected crash = %v, want the crash", err)
 	}
 	s.SetHooks(FileHooks{})
-	got, ok, err := s.Load("s")
+	got, ok, err := s.Load(nil, "s")
 	if err != nil || !ok || string(got) != "version 1" {
 		t.Fatalf("old snapshot damaged by aborted save: %q, %v, %v", got, ok, err)
 	}
@@ -197,7 +197,7 @@ func TestFileStoreCrashBeforeDirSync(t *testing.T) {
 		t.Fatalf("Save under injected crash = %v, want the crash", err)
 	}
 	s.SetHooks(FileHooks{})
-	got, ok, err := s.Load("s")
+	got, ok, err := s.Load(nil, "s")
 	if err != nil || !ok || string(got) != "version 2" {
 		t.Fatalf("renamed snapshot not valid after dir-sync crash: %q, %v, %v", got, ok, err)
 	}

@@ -87,7 +87,7 @@ func TestFileStoreHostileStreamNames(t *testing.T) {
 		t.Fatalf("recovery quarantined hostile-but-valid streams: %+v", rec)
 	}
 	for i, name := range streams {
-		snap, ok, err := s2.Load(name)
+		snap, ok, err := s2.Load(nil, name)
 		if err != nil || !ok || len(snap) != 4 || snap[0] != byte(i) {
 			t.Fatalf("load %q after reopen: %q %v %v", name, snap, ok, err)
 		}

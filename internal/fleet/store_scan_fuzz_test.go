@@ -96,7 +96,7 @@ func FuzzFileStoreRecoveryScan(f *testing.F) {
 			if !seen[name] {
 				t.Fatalf("valid snapshot %q missing from List %v", name, listed)
 			}
-			got, ok, err := st.Load(name)
+			got, ok, err := st.Load(nil, name)
 			if err != nil || !ok {
 				t.Fatalf("Load %q = ok=%v err=%v after clean scan", name, ok, err)
 			}
@@ -120,7 +120,7 @@ func FuzzFileStoreRecoveryScan(f *testing.F) {
 			if created || !bytes.Equal(prev, data) {
 				t.Fatalf("marker %q: created=%v contents=%q, want surviving %q", name, created, prev, data)
 			}
-			if _, ok, _ := st.Load(name); ok && valid[name] == nil {
+			if _, ok, _ := st.Load(nil, name); ok && valid[name] == nil {
 				t.Fatalf("marker %q loadable as stream state", name)
 			}
 		}

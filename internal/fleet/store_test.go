@@ -17,14 +17,14 @@ func TestMemStoreCopiesOnSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[0] = 99 // caller reuses its buffer (as shard snapBuf does)
-	got, ok, err := s.Load("a")
+	got, ok, err := s.Load(nil, "a")
 	if err != nil || !ok {
 		t.Fatalf("Load: ok=%v err=%v", ok, err)
 	}
 	if !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("store aliased the caller's buffer: %v", got)
 	}
-	if _, ok, _ := s.Load("missing"); ok {
+	if _, ok, _ := s.Load(nil, "missing"); ok {
 		t.Fatal("Load found a never-saved stream")
 	}
 }
@@ -35,7 +35,7 @@ func TestFileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s.Load("never"); ok || err != nil {
+	if _, ok, err := s.Load(nil, "never"); ok || err != nil {
 		t.Fatalf("missing stream: ok=%v err=%v", ok, err)
 	}
 	// Hostile stream names must not escape the directory or collide.
@@ -46,7 +46,7 @@ func TestFileStore(t *testing.T) {
 		}
 	}
 	for i, name := range names {
-		got, ok, err := s.Load(name)
+		got, ok, err := s.Load(nil, name)
 		if err != nil || !ok {
 			t.Fatalf("Load(%q): ok=%v err=%v", name, ok, err)
 		}
@@ -58,7 +58,7 @@ func TestFileStore(t *testing.T) {
 	if err := s.Save("plain", []byte{0xFF}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := s.Load("plain"); !bytes.Equal(got, []byte{0xFF}) {
+	if got, _, _ := s.Load(nil, "plain"); !bytes.Equal(got, []byte{0xFF}) {
 		t.Fatalf("overwrite not visible: %v", got)
 	}
 	// Nothing escaped the store directory.
@@ -169,7 +169,7 @@ func TestCreateExclusiveMarkersInvisibleToSnapshots(t *testing.T) {
 	if err != nil || created || !bytes.Equal(existing, []byte("n1")) {
 		t.Fatalf("after reopen: existing=%q created=%v err=%v", existing, created, err)
 	}
-	if _, ok, _ := s2.Load("epoch-7"); ok {
+	if _, ok, _ := s2.Load(nil, "epoch-7"); ok {
 		t.Fatal("marker readable as a snapshot")
 	}
 }

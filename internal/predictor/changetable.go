@@ -107,9 +107,11 @@ type tableEntry struct {
 	// train and returned directly by outcomes. Predictions change only
 	// when the entry trains, so the (for TrackTopN, ranked) set is
 	// computed once per phase change instead of once per probe — the
-	// table is probed every interval but trains only at changes. The
-	// slice is copy-on-write: train installs a fresh slice whenever the
-	// set changes, so previously returned lookups stay valid forever.
+	// table is probed every interval but trains only at changes. It is
+	// nil on a valid entry fresh from Restore, until outcomes first
+	// reads it. The slice is copy-on-write: train installs a fresh
+	// slice whenever the set changes, so previously returned lookups
+	// stay valid forever.
 	pred []int
 }
 
@@ -211,7 +213,8 @@ func (t *ChangeTable) find(hash uint64) int {
 }
 
 // Lookup probes the table for the given history hash without modifying
-// replacement or confidence state.
+// replacement or confidence state; the first probe of a way after a
+// Restore builds its cached prediction set.
 func (t *ChangeTable) Lookup(hash uint64) ChangeLookup {
 	i := t.find(hash)
 	if i < 0 {
@@ -222,10 +225,14 @@ func (t *ChangeTable) Lookup(hash uint64) ChangeLookup {
 	return ChangeLookup{Hit: true, Confident: confident, Outcomes: t.outcomes(e)}
 }
 
-// outcomes returns an entry's predicted set, best first. The returned
-// slice is the entry's cached copy-on-write prediction and must not be
-// modified by callers.
+// outcomes returns an entry's predicted set, best first, building it
+// from the tracked outcomes on the first read after a Restore. The
+// returned slice is the entry's cached copy-on-write prediction and
+// must not be modified by callers.
 func (t *ChangeTable) outcomes(e *tableEntry) []int {
+	if e.pred == nil {
+		e.pred = t.appendPred(nil, e)
+	}
 	return e.pred
 }
 
@@ -270,10 +277,12 @@ func appendTopN(dst []int, counts []outcomeCount, n int) []int {
 // only have risen, so the new top N is drawn from the old set plus
 // outcome: outcome moves ahead of the members it now outranks, and the
 // member pushed past N (if any) drops out. The set is replaced only
-// when it changes.
+// when it changes. RecordChange reads the set before training, so a
+// restored entry's set is built from the counts before the increment;
+// only a freshly inserted entry builds it here, from its one count.
 func (t *ChangeTable) promoteTopN(e *tableEntry, outcome int) {
 	moved := outcomeCount{outcome, e.count(outcome)}
-	old := e.pred
+	old := t.outcomes(e)
 	was := slices.Index(old, outcome)
 	at := 0
 	for _, p := range old {

@@ -116,9 +116,9 @@ func (h *History) Restore(dec *state.Decoder) error {
 
 // Snapshot encodes every valid way of the phase change table: tag, LRU
 // age, confidence, and the tracked outcome state for the table's
-// TrackKind. Cached prediction sets are rebuilt on Restore. TrackTopN
-// outcome counts are written in ascending phase order for deterministic
-// encoding.
+// TrackKind. Cached prediction sets are derived state, rebuilt after a
+// Restore the first time each way is read. TrackTopN outcome counts are
+// written in ascending phase order for deterministic encoding.
 func (t *ChangeTable) Snapshot(enc *state.Encoder) {
 	enc.Section(TagChangeTable, predictorVersion)
 	enc.U32(uint32(len(t.ways)))
@@ -146,12 +146,15 @@ func (t *ChangeTable) Snapshot(enc *state.Encoder) {
 	}
 }
 
-// Restore replaces the table's ways with a decoded snapshot, rebuilding
-// each valid way's cached prediction set. The snapshot's geometry must
-// match the receiver's configuration. Ways are overwritten in place and
-// each Top-N way refills its own outcome counts; the prediction sets are
-// carved from one array allocated per Restore, never from storage a
-// previously returned lookup may still hold (they are copy-on-write).
+// Restore replaces the table's ways with a decoded snapshot. The
+// snapshot's geometry must match the receiver's configuration. Ways are
+// overwritten in place and refill their own tracked outcomes (Last-4
+// lists, Top-N counts), so a Restore into a warm table allocates
+// nothing. Cached prediction sets are not rebuilt here: each valid way
+// builds its set the first time outcomes reads it, so a way that is
+// never probed before the next eviction costs no ranking at all. A set
+// a previous lookup returned is dropped, never written (they are
+// copy-on-write).
 func (t *ChangeTable) Restore(dec *state.Decoder) error {
 	dec.Section(TagChangeTable, predictorVersion)
 	n := int(dec.U32())
@@ -161,7 +164,6 @@ func (t *ChangeTable) Restore(dec *state.Decoder) error {
 	if n != len(t.ways) {
 		return fmt.Errorf("%w: change table has %d ways, receiver has %d", state.ErrCorrupt, n, len(t.ways))
 	}
-	preds := 0
 	for i := range t.ways {
 		e := &t.ways[i]
 		valid := dec.Bool()
@@ -172,18 +174,16 @@ func (t *ChangeTable) Restore(dec *state.Decoder) error {
 			*e = tableEntry{}
 			continue
 		}
-		counts := e.counts
+		last4, counts := e.last4, e.counts
 		*e = tableEntry{valid: true, tag: dec.U64(), lru: dec.U8(), conf: dec.Int()}
 		switch t.cfg.Track {
 		case TrackSingle:
 			e.single = dec.Int()
-			preds++
 		case TrackLast4:
-			e.last4 = dec.AppendInts(nil)
+			e.last4 = dec.AppendInts(last4[:0])
 			if dec.Err() == nil && len(e.last4) > 4 {
 				return fmt.Errorf("%w: change table way %d tracks %d outcomes, max 4", state.ErrCorrupt, i, len(e.last4))
 			}
-			preds += len(e.last4)
 		case TrackTopN:
 			k := int(dec.U32())
 			if dec.Err() != nil {
@@ -204,21 +204,9 @@ func (t *ChangeTable) Restore(dec *state.Decoder) error {
 				counts = append(counts, c)
 			}
 			e.counts = counts
-			preds += min(k, t.cfg.TopN)
 		}
 	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	buf := make([]int, 0, preds)
-	for i := range t.ways {
-		if e := &t.ways[i]; e.valid {
-			from := len(buf)
-			buf = t.appendPred(buf, e)
-			e.pred = buf[from:len(buf):len(buf)]
-		}
-	}
-	return nil
+	return dec.Err()
 }
 
 // Snapshot encodes the composed next-phase predictor: the last-value

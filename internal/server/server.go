@@ -347,11 +347,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// eventBufs bounds each connection's event-buffer freelist. It must
-// cover the maximum number of batches in flight between this
-// connection and its fleet shards (bounded by the shard queue depth),
-// so recycled buffers are never dropped in steady state and the ingest
-// loop reaches zero allocations per frame.
+// eventBufs caps the event buffers circulating per connection: staged
+// in the read loop, queued at a fleet shard, or free. Nothing else
+// bounds them — a shard queue slot holds a whole run of up to maxBurst
+// batches, and without a WAL a batch is answered as soon as it is
+// queued — so once eventBufs exist, getBuf waits for the fleet to
+// recycle one rather than grow the pool. The freelist holds all of
+// them, so recycled buffers are never dropped in steady state and the
+// ingest loop stays at zero allocations per frame even when a shard
+// lags its connections.
 const eventBufs = 128
 
 // eventBuf is one pooled decode target: a reusable event slice plus a
@@ -416,7 +420,9 @@ type frameSlot struct {
 type connState struct {
 	intern  map[string]string
 	free    chan *eventBuf
-	runs    []*runBuf // staged run per fleet shard; nil when empty
+	bufs    atomic.Int32 // event buffers circulating: eventBufs at most, unless a wait timed out
+	bufWait *time.Timer  // getBuf's bounded wait for a recycle, reused
+	runs    []*runBuf    // staged run per fleet shard; nil when empty
 	runFree chan *runBuf
 	slots   []frameSlot
 	ctrl    [][]byte // encoded control-frame responses, indexed by slotControl slots
@@ -461,18 +467,58 @@ func (cs *connState) getRun() *runBuf {
 }
 
 // getBuf pops a free event buffer, growing the circulating pool only
-// when every buffer is in flight.
-func (cs *connState) getBuf() *eventBuf {
+// when every buffer is in flight and fewer than eventBufs exist. At the
+// cap it waits for a recycle, bounded by the ingest timeout and by
+// drain, and past either creates one more anyway: the frame is served
+// and the freelist sheds the extra buffer when it comes back. The wait
+// cannot deadlock the read loop, which itself holds at most maxBurst
+// (< eventBufs) staged buffers: every other one is queued at a shard,
+// which recycles it once applied.
+func (s *Server) getBuf(cs *connState) *eventBuf {
 	select {
 	case b := <-cs.free:
 		return b
 	default:
 	}
+	if cs.bufs.Load() >= eventBufs {
+		if b := s.awaitBuf(cs); b != nil {
+			return b
+		}
+	}
+	cs.bufs.Add(1)
 	b := &eventBuf{}
 	b.recycle = func() {
 		select {
 		case cs.free <- b:
-		default: // freelist full: let the buffer go
+		default: // freelist full after an overrun wait: let the buffer go
+			cs.bufs.Add(-1)
+		}
+	}
+	return b
+}
+
+// awaitBuf waits for a recycled event buffer, returning nil once the
+// ingest timeout passes or the server drains. The timer is the
+// connection's own, reused, so a wait allocates nothing.
+func (s *Server) awaitBuf(cs *connState) *eventBuf {
+	if cs.bufWait == nil {
+		cs.bufWait = time.NewTimer(s.cfg.IngestTimeout)
+	} else {
+		cs.bufWait.Reset(s.cfg.IngestTimeout)
+	}
+	var b *eventBuf
+	select {
+	case b = <-cs.free:
+	case <-s.baseCtx.Done():
+	case <-cs.bufWait.C:
+		return nil
+	}
+	if !cs.bufWait.Stop() {
+		// Fired while another case won: drain its tick so the next
+		// Reset starts clean.
+		select {
+		case <-cs.bufWait.C:
+		default:
 		}
 	}
 	return b
@@ -692,7 +738,7 @@ func (s *Server) awaitRedirect(stream string) (addr string, ok bool) {
 // name comes from the connection's intern table, and the run and
 // response-slot buffers are recycled.
 func (s *Server) stageFrame(cs *connState, payload []byte) {
-	buf := cs.getBuf()
+	buf := s.getBuf(cs)
 	fr, err := wire.DecodeFrameView(payload, buf.events)
 	if cap(fr.Events) > cap(buf.events) {
 		// Keep any growth DecodeFrameView did, so the buffer reaches

@@ -8,6 +8,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestLoneFrameZeroAlloc(t *testing.T) {
 		frame()
 	}
 	f.Flush()
-	fillPools(cs, len(events))
+	fillPools(s, cs, len(events), 1)
 	// Keep the measured burst within the pool: in-flight frames beyond
 	// it would grow the pool, which is expected producer-outruns-
 	// consumer behaviour, not a per-frame allocation.
@@ -78,14 +79,14 @@ func restamp(payload []byte, seq uint64) {
 }
 
 // fillPools tops the connection's freelists up to capacity with
-// buffers sized for events-long batches. AllocsPerRun measures at
+// buffers sized for events-long batches and runs of batches. AllocsPerRun measures at
 // GOMAXPROCS 1, where the shard goroutine drains only when the loop
 // yields, so every measured frame may be in flight at once; a pool
 // warmed at full parallelism can be shallower than that.
-func fillPools(cs *connState, events int) {
+func fillPools(s *Server, cs *connState, events, batches int) {
 	bufs := make([]*eventBuf, cap(cs.free))
 	for i := range bufs {
-		if bufs[i] = cs.getBuf(); len(bufs[i].events) < events {
+		if bufs[i] = s.getBuf(cs); len(bufs[i].events) < events {
 			bufs[i].events = make([]trace.BranchEvent, events)
 		}
 	}
@@ -94,12 +95,73 @@ func fillPools(cs *connState, events int) {
 	}
 	runs := make([]*runBuf, cap(cs.runFree))
 	for i := range runs {
-		if runs[i] = cs.getRun(); runs[i].batches == nil {
-			runs[i].batches = make([]fleet.Batch, 0, 1)
+		if runs[i] = cs.getRun(); cap(runs[i].batches) < batches {
+			runs[i].batches = make([]fleet.Batch, 0, batches)
 		}
 	}
 	for _, rb := range runs {
 		rb.release()
+	}
+}
+
+// TestLaggingShardZeroAlloc pins the event-buffer cap. Bursts of
+// frames are queued as one run each, so a shard that lags its
+// connection would hold far more than eventBufs buffers: AllocsPerRun
+// measures at GOMAXPROCS 1, where the shard applies nothing until the
+// read loop blocks, and the measured passes stage twice eventBufs
+// frames. getBuf must then wait for the shard to recycle a buffer
+// rather than decode into a fresh one, keeping the WAL-off path at
+// zero allocations per frame.
+func TestLaggingShardZeroAlloc(t *testing.T) {
+	// No frame closes an interval: the shard's work is accumulation
+	// alone, so every allocation left to count is the ingest path's.
+	cfg := testTrackerConfig()
+	cfg.IntervalInstrs = 1 << 40
+	f := fleet.New(fleet.Config{Shards: 1, Tracker: cfg})
+	defer f.Close()
+	s, err := New(Config{Fleet: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := intervalEvents()
+	payload := wire.AppendBatchFrame(nil, wire.Batch{
+		Seq: 7, StreamSeq: 1, Stream: "lagging", Cycles: 12_000, Events: events,
+	})[4:]
+
+	const burst = 8
+	cs := newConnState(f.Shards())
+	wbuf := make([]byte, 0, 256)
+	var streamSeq uint64
+	pass := func() {
+		for i := 0; i < burst; i++ {
+			streamSeq++
+			restamp(payload, streamSeq)
+			s.stageFrame(cs, payload)
+		}
+		s.enqueueRuns(cs)
+		if wbuf = s.appendResponses(wbuf[:0], cs.slots, cs.ctrl); len(wbuf) == 0 {
+			t.Fatal("no response encoded")
+		}
+		for _, sl := range cs.slots {
+			if sl.err != nil {
+				t.Fatalf("frame refused: %v", sl.err)
+			}
+		}
+		cs.slots, cs.ctrl = cs.slots[:0], cs.ctrl[:0]
+	}
+	// Warm up lagging too, so the wait path's one-time setup (its
+	// timer) is behind us before measuring.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 2*eventBufs/burst; i++ {
+		pass()
+	}
+	f.Flush()
+	fillPools(s, cs, len(events), burst)
+	if allocs := testing.AllocsPerRun(2*eventBufs/burst, pass); allocs != 0 {
+		t.Fatalf("ingest behind a lagging shard allocates %v per %d-frame burst, want 0", allocs, burst)
+	}
+	if n := cs.bufs.Load(); n > eventBufs {
+		t.Fatalf("%d event buffers circulate, cap is %d", n, eventBufs)
 	}
 }
 
@@ -147,7 +209,7 @@ func TestWALIngestPathZeroAlloc(t *testing.T) {
 		frame()
 	}
 	f.Flush()
-	fillPools(cs, len(intervalEvents()))
+	fillPools(s, cs, len(intervalEvents()), 1)
 	if allocs := testing.AllocsPerRun(eventBufs/2, frame); allocs != 0 {
 		t.Fatalf("WAL ingest path allocates %v per frame in steady state, want 0", allocs)
 	}

@@ -107,8 +107,12 @@ type FleetConfig = fleet.Config
 type Batch = fleet.Batch
 
 // StateStore persists evicted Fleet stream state; see FleetConfig's
-// Store and MaxResident fields. Tracker snapshots themselves are
-// produced by Tracker.Snapshot and consumed by Tracker.Restore.
+// Store and MaxResident fields. Snapshots cross it in memory the caller
+// owns: Load(dst, stream) copies the stored bytes out, reusing dst's
+// storage when they fit, and never returns the store's own memory, so
+// a store may overwrite a stream's bytes in place on the next Save.
+// Tracker snapshots themselves are produced by Tracker.Snapshot and
+// consumed by Tracker.Restore.
 type StateStore = fleet.StateStore
 
 // MemStore is an in-memory StateStore: evicted trackers survive as one
