@@ -21,11 +21,15 @@
 //	phasekitd -addr :9127 -health :9128 -node-id n2 -node-addr 10.0.0.2:9127 -store /var/lib/phasekit \
 //	          -peers 10.0.0.1:9127
 //
-// Administer it with phasekitctl against the -health endpoint. A node
-// that dies is recovered by `phasekitctl leave` (or automatically by
-// the failure detector): the survivors adopt its streams from its last
-// checkpoints, and epoch fencing stops the dead node from overwriting
-// them if it comes back.
+// Administer it with phasekitctl against the -health endpoint. Each
+// node renews a lease record in the shared -store every
+// -heartbeat-interval and reads its peers' leases; a peer whose lease
+// stands still past -dead-after is taken over automatically (or remove
+// it by hand with `phasekitctl leave`). The survivors adopt its streams
+// from its last checkpoints, and epoch fencing stops the dead node from
+// overwriting them if it comes back. A node that cannot reach the store
+// is therefore taken over too; one its peers cannot reach over the
+// network but that renews its lease is not.
 //
 // Pipe a trace into it with phasesim:
 //
@@ -84,9 +88,9 @@ func main() {
 		nodeID     = flag.String("node-id", "", "cluster member ID; enables cluster mode (ownership checks, redirects, migration through the shared -store, which it requires)")
 		nodeAddr   = flag.String("node-addr", "", "ingest address advertised to peers and redirected clients (default: -addr; must be reachable, not :port)")
 		peers      = flag.String("peers", "", "comma-separated ingest addresses of existing members to join through (empty = start a new cluster)")
-		hbInterval = flag.Duration("heartbeat-interval", time.Second, "failure-detector heartbeat period (0 = no failure detection)")
-		suspectTO  = flag.Duration("suspect-after", 0, "silence before a peer is suspect (0 = 3x heartbeat interval)")
-		deadTO     = flag.Duration("dead-after", 0, "silence before a peer is a takeover candidate (0 = 2x suspect-after)")
+		hbInterval = flag.Duration("heartbeat-interval", time.Second, "failure-detector lease period: renew this node's lease in -store and read its peers' this often (0 = no failure detection)")
+		suspectTO  = flag.Duration("suspect-after", 0, "how long a peer's lease may stand still before it is suspect (0 = 3x heartbeat interval)")
+		deadTO     = flag.Duration("dead-after", 0, "how long a peer's lease may stand still before it is taken over (0 = 2x suspect-after)")
 		walDir     = flag.String("wal-dir", "", "write-ahead log root; batches are ACKed only after their WAL append is durable, and the log is replayed over the last checkpoints at startup (empty = no WAL)")
 		walSync    = flag.String("wal-sync", "group", "WAL durability: always (fsync per append), group (one fsync per commit window), off (disable the WAL entirely; ACK on enqueue as without -wal-dir)")
 	)
@@ -371,8 +375,8 @@ func main() {
 	} else if coord != nil {
 		logger.Printf("node %s started a new cluster (advertising %s)", *nodeID, coord.Ring().Nodes()[0].Addr)
 	}
-	// Heartbeats start after Join so the first tick pings the real
-	// membership, not the provisional self-only ring.
+	// Leases start after Join so the first tick reads the real
+	// membership's, not the provisional self-only ring's.
 	if det != nil {
 		det.Start()
 	}
@@ -390,8 +394,9 @@ func main() {
 	defer cancel()
 	exit := 0
 	if det != nil {
-		// Stop heartbeating first: a draining node must not initiate a
-		// takeover (or answer probes) while it checkpoints.
+		// Stop renewing first: a draining node must not initiate a
+		// takeover while it checkpoints. Its lease then stands still, and
+		// the survivors take it over after -dead-after.
 		det.Stop()
 	}
 	if err := srv.Shutdown(ctx); err != nil {

@@ -269,7 +269,7 @@ func (c *Coordinator) apply(next *Ring, propagate bool) (bool, error) {
 	}
 	// The fence moves first, so a takeover re-stamp lands at the new
 	// epoch; claiming comes before the flip, so a peer that sees this
-	// node at the new epoch (a ping ack) knows it serves its share.
+	// node at the new epoch (in its lease) knows it serves its share.
 	var removed []string
 	for _, n := range cur.Nodes() {
 		if _, ok := next.Node(n.ID); !ok {
@@ -407,13 +407,13 @@ func (c *Coordinator) adoptOrphan(stream string) {
 	c.orphansAdopted.Add(1)
 }
 
-// Failover removes a confirmed-dead member and adopts its streams —
-// HandleLeave without the courtesy push to the departed (it is dead;
-// dialing it would burn a timeout per takeover). Called by the failure
-// detector after quorum confirmation; survivors receiving the
-// propagated assignment each adopt their own share of the orphans.
-// If the member is already gone (a concurrent initiator won the race),
-// the current ring is returned unchanged.
+// Failover removes a dead member and adopts its streams — HandleLeave
+// without the courtesy push to the departed (it is dead; dialing it
+// would burn a timeout per takeover). Called by the failure detector
+// on the node whose lease stood still past DeadAfter; survivors
+// receiving the propagated assignment each adopt their own share of
+// the orphans. If the member is already gone (a concurrent initiator
+// won the race), the current ring is returned unchanged.
 func (c *Coordinator) Failover(id string) (*Ring, error) {
 	if id == c.self.ID {
 		return nil, fmt.Errorf("cluster: node %s cannot fail itself over", id)
@@ -426,13 +426,12 @@ func (c *Coordinator) Failover(id string) (*Ring, error) {
 	if _, ok := cur.Node(id); !ok {
 		return cur, nil
 	}
-	// On a two-node ring a partition makes both sides sole initiators of
-	// each other's death, and only the shared store can break the tie.
-	// Without one, automatic failover is refused outright: the operator
-	// decides which side survives (HandleLeave), trading availability for
-	// never splitting the brain.
-	if cur.Len() == 2 && !c.fence.CanArbitrate() {
-		return nil, fmt.Errorf("%w: refusing automatic failover of %s on a two-node ring; remove it with an operator leave", ErrNoArbiter, id)
+	// Only an arbitrated epoch keeps two initiators from taking over at
+	// the same number. Without one, automatic failover is refused
+	// outright: the operator decides who survives (HandleLeave), trading
+	// availability for never splitting the brain.
+	if !c.fence.CanArbitrate() {
+		return nil, fmt.Errorf("%w: refusing automatic failover of %s; remove it with an operator leave", ErrNoArbiter, id)
 	}
 	next, err := cur.WithLeave(id)
 	if err != nil {
@@ -448,38 +447,6 @@ func (c *Coordinator) Failover(id string) (*Ring, error) {
 	}
 	c.takeoversDone.Add(1)
 	c.log("takeover: removed dead node %s; epoch %d", id, next.Epoch())
-	return next, nil
-}
-
-// ReconcileConflict repairs an equal-epoch ring disagreement observed
-// by the failure detector: a peer answered a ping with this node's
-// epoch but a different membership hash. The repair is deterministic —
-// re-admit the peer (it is provably alive; it just answered) and mint a
-// strictly higher epoch through the arbiter, then propagate. Whichever
-// side reconciles first wins outright: the other side's apply accepts
-// the higher epoch instead of rejecting a twin as stale, and a
-// simultaneous reconcile on both sides allocates distinct epochs, the
-// larger of which absorbs the smaller on the next ping.
-func (c *Coordinator) ReconcileConflict(peer Node) (*Ring, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := c.state.Ring()
-	nodes := cur.Nodes()
-	if _, ok := cur.Node(peer.ID); !ok {
-		nodes = append(nodes, peer)
-	}
-	epoch, err := c.mintEpoch(cur)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: reconcile with %s: %w", peer.ID, err)
-	}
-	next, err := NewRing(epoch, nodes)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.apply(next, true); err != nil {
-		return nil, err
-	}
-	c.log("reconcile: divergent ring at equal epoch; merged %s, now epoch %d", peer.ID, epoch)
 	return next, nil
 }
 
@@ -701,32 +668,6 @@ func (c *Coordinator) HandleLeave(id string) (*Ring, error) {
 		}
 	}
 	return next, nil
-}
-
-// HandlePing answers a peer heartbeat: this node's epoch, whether the
-// sender is a member of its ring, and the ring's membership hash (so
-// the sender can detect equal-epoch divergence). Hearing a ping also
-// counts as liveness evidence for the sender — under a one-way
-// partition where this node can hear a peer but not reach it, the peer
-// stays alive in this node's view, and this node denies its death to
-// any initiator.
-func (c *Coordinator) HandlePing(from Node, epoch uint64) (uint64, bool, uint64) {
-	if c.detector != nil {
-		c.detector.ObservePing(from)
-	}
-	r := c.state.Ring()
-	_, member := r.Node(from.ID)
-	return r.Epoch(), member, r.Hash()
-}
-
-// HandleProbe answers a quorum probe with this node's opinion of
-// subject. Without a detector every subject is unknown (an abstention,
-// not a denial).
-func (c *Coordinator) HandleProbe(subject string) ProbeReply {
-	if c.detector == nil {
-		return ProbeReply{}
-	}
-	return c.detector.ViewOf(subject)
 }
 
 // Degraded reports whether the node is running in a reduced state: a

@@ -1,14 +1,15 @@
 package cluster
 
 // Failure-detector unit tests: deterministic Ticks driven by a manual
-// clock and a scripted transport — no real time, no real sockets. The
-// coordinator under test uses a tiny dial timeout because a confirmed
+// clock over a MemStore-backed fence — no real time, no sockets. Peers
+// are simulated by writing their lease records into the shared store.
+// The coordinator under test uses a tiny dial timeout because a
 // failover propagates the new ring to (unreachable) peer addresses,
 // which is logged, not fatal.
 
 import (
-	"fmt"
-	"sync"
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,60 +17,24 @@ import (
 	"phasekit/internal/fleet"
 )
 
-// scriptPinger scripts the detector's transport per peer.
-type scriptPinger struct {
-	mu    sync.Mutex
-	ping  map[string]func() (PingReply, error)
-	probe map[string]func(subject string) (ProbeReply, error)
-}
-
-func newScriptPinger() *scriptPinger {
-	return &scriptPinger{
-		ping:  make(map[string]func() (PingReply, error)),
-		probe: make(map[string]func(subject string) (ProbeReply, error)),
-	}
-}
-
-func (p *scriptPinger) Ping(self Node, epoch uint64, peer Node) (PingReply, error) {
-	p.mu.Lock()
-	fn := p.ping[peer.ID]
-	p.mu.Unlock()
-	if fn == nil {
-		return PingReply{}, fmt.Errorf("unscripted ping to %s", peer.ID)
-	}
-	return fn()
-}
-
-func (p *scriptPinger) Probe(peer Node, subject string) (ProbeReply, error) {
-	p.mu.Lock()
-	fn := p.probe[peer.ID]
-	p.mu.Unlock()
-	if fn == nil {
-		return ProbeReply{}, fmt.Errorf("unscripted probe to %s", peer.ID)
-	}
-	return fn(subject)
-}
-
-func (p *scriptPinger) set(peer string, fn func() (PingReply, error)) {
-	p.mu.Lock()
-	p.ping[peer] = fn
-	p.mu.Unlock()
-}
-
-func alivePing() (PingReply, error) { return PingReply{Epoch: 1, Member: true}, nil }
-func deadPing() (PingReply, error)  { return PingReply{}, fmt.Errorf("connection refused") }
-
-// detectorHarness builds a coordinator + detector over a scripted
-// transport and a manual clock.
+// detectorHarness is one node's coordinator and detector over a shared
+// MemStore, seen through a faults.Store so a test can cut the node off.
 type detectorHarness struct {
-	co    *Coordinator
-	det   *Detector
-	clock *faults.Clock
-	ping  *scriptPinger
-	pol   HealthPolicy
+	co      *Coordinator
+	det     *Detector
+	clock   *faults.Clock
+	shared  *fleet.MemStore
+	handle  *faults.Store
+	pol     HealthPolicy
+	members []string
+	counter map[string]uint64 // simulated peers' renewal counters
 }
 
 func newDetectorHarness(t *testing.T, selfID string, memberIDs []string, cfg DetectorConfig) *detectorHarness {
+	return newDetectorHarnessOn(t, fleet.NewMemStore(), faults.NewClock(time.Unix(1_000_000, 0)), selfID, memberIDs, cfg)
+}
+
+func newDetectorHarnessOn(t *testing.T, shared *fleet.MemStore, clock *faults.Clock, selfID string, memberIDs []string, cfg DetectorConfig) *detectorHarness {
 	t.Helper()
 	f := fleet.New(fleet.Config{Shards: 1, Tracker: coordTrackerConfig()})
 	t.Cleanup(f.Close)
@@ -77,132 +42,144 @@ func newDetectorHarness(t *testing.T, selfID string, memberIDs []string, cfg Det
 	for i, id := range memberIDs {
 		nodes[i] = Node{ID: id, Addr: "127.0.0.1:1"} // refuses instantly
 	}
-	var self Node
-	for _, n := range nodes {
-		if n.ID == selfID {
-			self = n
-		}
+	h := &detectorHarness{
+		clock:   clock,
+		shared:  shared,
+		handle:  faults.Wrap(shared, faults.Schedule{}),
+		pol:     HealthPolicy{Interval: 50 * time.Millisecond, SuspectAfter: 200 * time.Millisecond, DeadAfter: 400 * time.Millisecond},
+		members: memberIDs,
+		counter: make(map[string]uint64),
 	}
-	// A MemStore-backed fence gives the coordinator the shared-store
-	// epoch arbiter, so two-node self-confirmed takeovers are allowed
-	// (without it they are refused with ErrNoArbiter — pinned by its own
-	// test below).
 	co, err := NewCoordinator(CoordinatorConfig{
-		Self: self, Fleet: f, Initial: mustRing(t, 1, nodes),
-		Fence:       NewFencedStore(fleet.NewMemStore(), 1),
+		Self: Node{ID: selfID, Addr: "127.0.0.1:1"}, Fleet: f, Initial: mustRing(t, 1, nodes),
+		Fence:       NewFencedStore(h.handle, 1),
 		DialTimeout: 50 * time.Millisecond, OpTimeout: time.Second,
 		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &detectorHarness{
-		co:    co,
-		clock: faults.NewClock(time.Unix(1_000_000, 0)),
-		ping:  newScriptPinger(),
-		pol:   HealthPolicy{Interval: 50 * time.Millisecond, SuspectAfter: 200 * time.Millisecond, DeadAfter: 400 * time.Millisecond},
-	}
+	h.co = co
 	cfg.Coordinator = co
-	cfg.Policy = h.pol
-	cfg.Transport = h.ping
+	if cfg.Policy == (HealthPolicy{}) {
+		cfg.Policy = h.pol
+	}
 	cfg.Now = h.clock.Now
 	cfg.Logf = t.Logf
-	h.det, err = NewDetector(cfg)
-	if err != nil {
+	if h.det, err = NewDetector(cfg); err != nil {
 		t.Fatal(err)
 	}
 	co.AttachDetector(h.det)
 	return h
 }
 
-// TestDetectorFailoverOnQuorumConfirmedDeath walks the full ladder:
-// a silent peer goes suspect, then dead; the initiator (smallest alive
-// ID) probes the other survivor, which agrees; the dead node is removed
-// and the epoch advances — with no operator command anywhere.
-func TestDetectorFailoverOnQuorumConfirmedDeath(t *testing.T) {
-	h := newDetectorHarness(t, "n1", []string{"n1", "n2", "n3"}, DetectorConfig{})
-	h.ping.set("n2", deadPing)
-	h.ping.set("n3", alivePing)
-	h.ping.probe["n3"] = func(subject string) (ProbeReply, error) {
-		if subject != "n2" {
-			t.Errorf("probe for %q, want n2", subject)
-		}
-		return ProbeReply{State: PeerDead, Age: time.Second, Known: true}, nil
+// publish writes a simulated peer's lease record as it stands.
+func (h *detectorHarness) publish(t *testing.T, id string, epoch uint64, members []string) {
+	t.Helper()
+	rec := lease{node: Node{ID: id, Addr: "127.0.0.1:1"}, epoch: epoch, members: members, counter: h.counter[id]}
+	if err := h.shared.WriteLease(leaseName(id), rec.encode()); err != nil {
+		t.Fatal(err)
 	}
+}
 
-	h.det.Tick() // peers registered, n2 already failing
-	if v := h.det.ViewOf("n2"); v.State != PeerAlive || !v.Known {
-		t.Fatalf("n2 before silence threshold: %+v", v)
+// renew bumps each simulated peer's counter and republishes its lease
+// at epoch 1 over the initial membership.
+func (h *detectorHarness) renew(t *testing.T, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		h.counter[id]++
+		h.publish(t, id, 1, h.members)
 	}
-	h.clock.Advance(h.pol.SuspectAfter + time.Millisecond)
+}
+
+// step advances the clock by d, renews the named peers, and ticks.
+func (h *detectorHarness) step(t *testing.T, d time.Duration, renewing ...string) {
+	t.Helper()
+	h.clock.Advance(d)
+	h.renew(t, renewing...)
 	h.det.Tick()
-	if v := h.det.ViewOf("n2"); v.State != PeerSuspect {
-		t.Fatalf("n2 after suspect threshold: %+v", v)
+}
+
+func (h *detectorHarness) state(t *testing.T, id string) string {
+	t.Helper()
+	for _, p := range h.det.PeerStatuses() {
+		if p.Node.ID == id {
+			return p.State
+		}
+	}
+	t.Fatalf("peer %s not tracked", id)
+	return ""
+}
+
+// TestDetectorFailoverAtDeadAfter walks the full ladder: a peer whose
+// lease stands still is suspect exactly SuspectAfter and dead exactly
+// DeadAfter after its counter last changed, and the initiator (smallest
+// alive ID) removes it at a new epoch — once, with no operator command.
+func TestDetectorFailoverAtDeadAfter(t *testing.T) {
+	h := newDetectorHarness(t, "n1", []string{"n1", "n2", "n3"}, DetectorConfig{})
+	h.renew(t, "n2", "n3")
+	h.det.Tick() // registration: the first read only sets the baseline
+	h.step(t, h.pol.Interval, "n2", "n3")
+	// n2's counter changed at this tick; from here on only n3 renews.
+	lastChange := h.clock.Now()
+	for h.clock.Now().Sub(lastChange) < h.pol.SuspectAfter-h.pol.Interval {
+		h.step(t, h.pol.Interval, "n3")
+	}
+	if s := h.state(t, "n2"); s != "alive" {
+		t.Fatalf("n2 one interval before SuspectAfter: %s", s)
+	}
+	h.step(t, h.pol.Interval, "n3")
+	if s := h.state(t, "n2"); s != "suspect" {
+		t.Fatalf("n2 at SuspectAfter: %s", s)
 	}
 	if !h.co.Degraded() {
 		t.Fatal("node not degraded with a suspect peer")
 	}
-	h.clock.Advance(h.pol.DeadAfter)
-	h.det.Tick()
-
+	h.step(t, lastChange.Add(h.pol.DeadAfter-time.Millisecond).Sub(h.clock.Now()), "n3")
+	if s, e := h.state(t, "n2"), h.co.Epoch(); s != "suspect" || e != 1 {
+		t.Fatalf("a millisecond before DeadAfter: n2 %s at epoch %d, want suspect at 1", s, e)
+	}
+	h.step(t, time.Millisecond, "n3")
+	if got := h.clock.Now().Sub(lastChange); got != h.pol.DeadAfter {
+		t.Fatalf("test stepped to %v after the last change, want DeadAfter", got)
+	}
 	if e := h.co.Epoch(); e != 2 {
-		t.Fatalf("epoch after confirmed death: %d, want 2", e)
+		t.Fatalf("epoch at DeadAfter: %d, want 2", e)
 	}
 	if _, ok := h.co.Ring().Node("n2"); ok {
 		t.Fatal("n2 still a ring member after takeover")
 	}
+
+	// The peer table prunes departed members at the next sync, and the
+	// takeover is not repeated.
+	h.step(t, h.pol.Interval, "n3")
+	h.step(t, h.pol.Interval, "n3")
 	st := h.co.Status()
-	if st.TakeoversDone != 1 || st.TakeoverInFlight != 0 {
+	if st.TakeoversDone != 1 || st.TakeoverInFlight != 0 || st.Epoch != 2 {
 		t.Fatalf("takeover counters: %+v", st)
 	}
-	// The peer table prunes departed members at the next membership sync.
-	h.det.Tick()
-	if st = h.co.Status(); len(st.Peers) != 1 || st.Peers[0].Node.ID != "n3" {
+	if st.Health.Failovers != 1 || st.Health.Deaths != 1 || st.Health.Suspicions != 1 {
+		t.Fatalf("detector counters: %+v", st.Health)
+	}
+	if len(st.Peers) != 1 || st.Peers[0].Node.ID != "n3" || st.Peers[0].State != "alive" {
 		t.Fatalf("peer statuses after takeover: %+v", st.Peers)
 	}
-}
-
-// TestDetectorQuorumDenial pins the one-way-partition guard: this node
-// cannot reach the subject, but another observer can — its single
-// "alive" report denies the death, no takeover happens, and the
-// subject is demoted to suspect (degraded, not evicted).
-func TestDetectorQuorumDenial(t *testing.T) {
-	h := newDetectorHarness(t, "n1", []string{"n1", "n2", "n3"}, DetectorConfig{})
-	h.ping.set("n2", deadPing)
-	h.ping.set("n3", alivePing)
-	h.ping.probe["n3"] = func(string) (ProbeReply, error) {
-		return ProbeReply{State: PeerAlive, Age: 10 * time.Millisecond, Known: true}, nil
-	}
-
-	h.det.Tick()
-	h.clock.Advance(h.pol.DeadAfter + time.Millisecond)
-	h.det.Tick()
-
-	if e := h.co.Epoch(); e != 1 {
-		t.Fatalf("epoch after denied death: %d, want 1 (no takeover)", e)
-	}
-	if _, ok := h.co.Ring().Node("n2"); !ok {
-		t.Fatal("n2 evicted despite a peer vouching for it")
-	}
-	if v := h.det.ViewOf("n2"); v.State != PeerSuspect {
-		t.Fatalf("n2 after denial: %+v, want suspect", v)
-	}
-	if st := h.co.Status(); st.TakeoversDone != 0 || !st.Degraded {
-		t.Fatalf("status after denial: takeovers=%d degraded=%v", st.TakeoversDone, st.Degraded)
+	if st.Degraded {
+		t.Fatal("still degraded after the takeover")
 	}
 }
 
-// TestDetectorTwoNodeSelfConfirm: with the only peer gone there are no
-// other observers, so the initiator's own verdict stands and the
-// takeover proceeds.
+// TestDetectorTwoNodeSelfConfirm: a two-node ring over a store that
+// arbitrates fails its silent peer over; a peer that never renewed at
+// all dies DeadAfter after it was registered.
 func TestDetectorTwoNodeSelfConfirm(t *testing.T) {
 	h := newDetectorHarness(t, "n1", []string{"n1", "n2"}, DetectorConfig{})
-	h.ping.set("n2", deadPing)
-
 	h.det.Tick()
-	h.clock.Advance(h.pol.DeadAfter + time.Millisecond)
-	h.det.Tick()
-
+	h.step(t, h.pol.DeadAfter-time.Millisecond)
+	if e := h.co.Epoch(); e != 1 {
+		t.Fatalf("epoch before DeadAfter: %d", e)
+	}
+	h.step(t, time.Millisecond)
 	if e := h.co.Epoch(); e != 2 {
 		t.Fatalf("epoch after two-node takeover: %d, want 2", e)
 	}
@@ -215,23 +192,24 @@ func TestDetectorTwoNodeSelfConfirm(t *testing.T) {
 // ID sees the death but leaves the takeover to the initiator.
 func TestDetectorNonInitiatorHolds(t *testing.T) {
 	h := newDetectorHarness(t, "n2", []string{"n1", "n2", "n3"}, DetectorConfig{})
-	h.ping.set("n1", alivePing) // n1 is alive and smaller: it initiates
-	h.ping.set("n3", deadPing)
-
+	h.renew(t, "n1", "n3")
 	h.det.Tick()
-	h.clock.Advance(h.pol.DeadAfter + time.Millisecond)
-	h.det.Tick()
-
+	for i := 0; i < 10; i++ {
+		h.step(t, h.pol.Interval, "n1") // n1 is alive and smaller: it initiates
+	}
 	if e := h.co.Epoch(); e != 1 {
 		t.Fatalf("epoch: %d — non-initiator must not take over", e)
 	}
-	if v := h.det.ViewOf("n3"); v.State != PeerDead {
-		t.Fatalf("n3 state on the non-initiator: %+v, want dead", v)
+	if s := h.state(t, "n3"); s != "dead" {
+		t.Fatalf("n3 state on the non-initiator: %s, want dead", s)
+	}
+	if c := h.det.Counters(); c.Failovers != 0 || c.Deaths != 1 {
+		t.Fatalf("non-initiator counters: %+v", c)
 	}
 }
 
-// TestDetectorEvictedFiresOnce: a ping ack from a higher epoch that no
-// longer includes this node means the cluster moved on without us —
+// TestDetectorEvictedFiresOnce: a peer lease at a higher epoch that no
+// longer includes this node means the cluster moved on without it —
 // the zombie-return discovery. OnEvicted fires exactly once.
 func TestDetectorEvictedFiresOnce(t *testing.T) {
 	evictions := 0
@@ -239,9 +217,7 @@ func TestDetectorEvictedFiresOnce(t *testing.T) {
 	h := newDetectorHarness(t, "n1", []string{"n1", "n2"}, DetectorConfig{
 		OnEvicted: func(epoch uint64) { evictions++; evictedAt = epoch },
 	})
-	h.ping.set("n2", func() (PingReply, error) {
-		return PingReply{Epoch: 7, Member: false}, nil
-	})
+	h.publish(t, "n2", 7, []string{"n2", "n3"})
 
 	h.det.Tick()
 	h.det.Tick()
@@ -254,10 +230,10 @@ func TestDetectorEvictedFiresOnce(t *testing.T) {
 
 // TestDetectorFinishesLeaveWhenFlipPushIsLost: a node that has
 // migrated out for a ring without it (the first push of a live leave)
-// is not evicted by peers answering from that ring. Once every
-// survivor answers from it, the push that should flip the node is
-// overdue, and the detector flips it instead. A peer answering from any
-// later ring still evicts it.
+// is not evicted by peers whose leases show that ring. Once every
+// survivor's does, the push that should flip the node is overdue, and
+// the detector flips it instead. A lease from any later ring still
+// evicts it.
 func TestDetectorFinishesLeaveWhenFlipPushIsLost(t *testing.T) {
 	var evictedAt uint64
 	h := newDetectorHarness(t, "n1", []string{"n1", "n2", "n3"}, DetectorConfig{
@@ -267,16 +243,14 @@ func TestDetectorFinishesLeaveWhenFlipPushIsLost(t *testing.T) {
 	if changed, err := h.co.ApplyAssign(mustRing(t, 2, survivors)); changed || err != nil {
 		t.Fatalf("first leave push: changed=%v err=%v", changed, err)
 	}
-	left := PingReply{Epoch: 2, Member: false}
-	h.ping.set("n2", func() (PingReply, error) { return left, nil })
-	h.ping.set("n3", func() (PingReply, error) { return PingReply{Epoch: 1, Member: true}, nil })
+	h.publish(t, "n2", 2, []string{"n2", "n3"})
+	h.publish(t, "n3", 1, []string{"n1", "n2", "n3"})
 	h.det.Tick()
 	if evictedAt != 0 || h.co.Epoch() != 1 {
 		t.Fatalf("one survivor flipped: evicted at %d, epoch %d; want neither eviction nor flip", evictedAt, h.co.Epoch())
 	}
 
-	epoch := uint64(2)
-	h.ping.set("n3", func() (PingReply, error) { return PingReply{Epoch: epoch, Member: false}, nil })
+	h.publish(t, "n3", 2, []string{"n2", "n3"})
 	h.det.Tick()
 	if evictedAt != 0 || h.co.Epoch() != 2 {
 		t.Fatalf("every survivor flipped: evicted at %d, epoch %d; want the flip to epoch 2", evictedAt, h.co.Epoch())
@@ -285,166 +259,165 @@ func TestDetectorFinishesLeaveWhenFlipPushIsLost(t *testing.T) {
 		t.Fatal("the finished leave is still pending")
 	}
 
-	epoch = 3
+	h.publish(t, "n3", 3, []string{"n2", "n3"})
 	h.det.Tick()
 	if evictedAt != 3 {
 		t.Fatalf("evicted at epoch %d, want 3", evictedAt)
 	}
 }
 
-// TestDetectorLaggingTriggersCatchUp: a higher-epoch ack that still
+// TestDetectorLaggingTriggersCatchUp: a higher-epoch lease that still
 // includes this node is a stale view, not an eviction — the OnLagging
-// hook (re-join by default) fires with the fresher peer.
+// hook (re-join by default) fires with the fresher peer, addressed as
+// its lease says.
 func TestDetectorLaggingTriggersCatchUp(t *testing.T) {
 	var laggedPeer Node
 	var laggedEpoch uint64
 	h := newDetectorHarness(t, "n1", []string{"n1", "n2"}, DetectorConfig{
 		OnLagging: func(peer Node, epoch uint64) { laggedPeer, laggedEpoch = peer, epoch },
 	})
-	h.ping.set("n2", func() (PingReply, error) {
-		return PingReply{Epoch: 3, Member: true}, nil
-	})
+	h.publish(t, "n2", 3, []string{"n1", "n2"})
 
 	h.det.Tick()
 
-	if laggedPeer.ID != "n2" || laggedEpoch != 3 {
-		t.Fatalf("OnLagging(%q, %d), want (n2, 3)", laggedPeer.ID, laggedEpoch)
+	if laggedPeer.ID != "n2" || laggedPeer.Addr != "127.0.0.1:1" || laggedEpoch != 3 {
+		t.Fatalf("OnLagging(%+v, %d), want (n2 at its lease address, 3)", laggedPeer, laggedEpoch)
 	}
 }
 
-// TestDetectorRecovery: a suspect peer that starts acking again returns
-// to alive and the node stops reporting degraded.
+// TestDetectorRecovery: a suspect peer whose counter moves again is
+// alive, and the node stops reporting degraded. The renewal that
+// revives it is a restart's counter, lower than the last one: a
+// counter that goes backwards is a change like any other.
 func TestDetectorRecovery(t *testing.T) {
 	h := newDetectorHarness(t, "n1", []string{"n1", "n2"}, DetectorConfig{})
-	h.ping.set("n2", deadPing)
-
+	h.counter["n2"] = 41
+	h.renew(t, "n2")
 	h.det.Tick()
-	h.clock.Advance(h.pol.SuspectAfter + time.Millisecond)
-	h.det.Tick()
-	if v := h.det.ViewOf("n2"); v.State != PeerSuspect {
-		t.Fatalf("n2: %+v, want suspect", v)
+	h.step(t, h.pol.SuspectAfter)
+	if s := h.state(t, "n2"); s != "suspect" {
+		t.Fatalf("n2: %s, want suspect", s)
 	}
-	h.ping.set("n2", alivePing)
-	h.det.Tick()
-	if v := h.det.ViewOf("n2"); v.State != PeerAlive {
-		t.Fatalf("n2 after recovery: %+v, want alive", v)
+	h.counter["n2"] = 0 // restarted
+	h.step(t, h.pol.Interval, "n2")
+	if s := h.state(t, "n2"); s != "alive" {
+		t.Fatalf("n2 after a restarted counter: %s, want alive", s)
 	}
 	if h.co.Degraded() {
 		t.Fatal("still degraded after recovery")
 	}
 }
 
-// TestDetectorObservePingDenies: hearing a peer's heartbeat counts as
-// liveness even when we cannot reach it (one-way partition), so our
-// probe answer vouches for it.
-func TestDetectorObservePingDenies(t *testing.T) {
+// TestDetectorBlindObserverDeclaresNobodyDead: while this node's store
+// handle is cut, its ticks are no evidence — however long it stays
+// blind, nobody is suspected or taken over. Once it sees again, a peer
+// that renewed meanwhile is alive, and one whose counter never moved
+// is dead at once: the counter stood still the whole time.
+func TestDetectorBlindObserverDeclaresNobodyDead(t *testing.T) {
+	h := newDetectorHarness(t, "n1", []string{"n1", "n2", "n3"}, DetectorConfig{})
+	h.renew(t, "n2", "n3")
+	h.det.Tick()
+	h.step(t, h.pol.Interval, "n2", "n3")
+
+	h.handle.Cut()
+	for i := 0; i < 20; i++ {
+		h.step(t, h.pol.Interval, "n2") // n3 has died meanwhile
+	}
+	if e := h.co.Epoch(); e != 1 {
+		t.Fatalf("a blind observer took over: epoch %d", e)
+	}
+	c := h.det.Counters()
+	if c.Suspicions != 0 || c.Deaths != 0 || c.Failovers != 0 {
+		t.Fatalf("a blind observer judged its peers: %+v", c)
+	}
+	if c.ReadFailures != 40 || c.RenewFailures != 20 {
+		t.Fatalf("blind ticks: %+v, want 40 read and 20 renewal failures", c)
+	}
+	if h.co.Degraded() {
+		t.Fatal("a blind observer reported its peers unhealthy")
+	}
+
+	h.handle.Heal()
+	h.step(t, h.pol.Interval, "n2")
+	if s := h.state(t, "n2"); s != "alive" {
+		t.Fatalf("n2 renewed through the cut: %s, want alive", s)
+	}
+	if e := h.co.Epoch(); e != 2 {
+		t.Fatalf("epoch after healing: %d, want 2 (n3 taken over)", e)
+	}
+	if _, ok := h.co.Ring().Node("n3"); ok {
+		t.Fatal("n3 still a member after healing")
+	}
+}
+
+// TestDetectorRefusedWithoutArbiter: a coordinator whose store cannot
+// arbitrate gets no failure detector, and no failover.
+func TestDetectorRefusedWithoutArbiter(t *testing.T) {
+	co := newArbiterTestCoordinator(t, "n1", NewFencedStore(newPlainStore(), 1))
+	if _, err := NewDetector(DetectorConfig{Coordinator: co}); !errors.Is(err, ErrNoArbiter) {
+		t.Fatalf("NewDetector over a plain store: %v, want ErrNoArbiter", err)
+	}
+	if _, err := co.Failover("n2"); !errors.Is(err, ErrNoArbiter) {
+		t.Fatalf("Failover over a plain store: %v, want ErrNoArbiter", err)
+	}
+}
+
+// TestDetectorStoreOpsPerTick counts the store traffic of a 3-node
+// cluster through each node's faults.Store: ten ticks — ten seconds at
+// the default interval — cost every node 10 lease writes and 20 lease
+// reads, 3 store operations per node per second.
+func TestDetectorStoreOpsPerTick(t *testing.T) {
+	shared := fleet.NewMemStore()
+	clock := faults.NewClock(time.Unix(1_000_000, 0))
+	ids := []string{"n1", "n2", "n3"}
+	var nodes []*detectorHarness
+	for _, id := range ids {
+		nodes = append(nodes, newDetectorHarnessOn(t, shared, clock, id, ids, DetectorConfig{Policy: HealthPolicy{Interval: time.Second}}))
+	}
+	for i := 0; i < 10; i++ {
+		clock.Advance(time.Second)
+		for _, h := range nodes {
+			h.det.Tick()
+		}
+	}
+	for i, h := range nodes {
+		if saves, loads := h.handle.Ops(); saves != 10 || loads != 20 {
+			t.Fatalf("%s: %d writes and %d reads in ten ticks, want 10 and 20", ids[i], saves, loads)
+		}
+		if h.co.Degraded() || h.co.Epoch() != 1 {
+			t.Fatalf("%s: degraded=%v epoch %d in a healthy cluster", ids[i], h.co.Degraded(), h.co.Epoch())
+		}
+	}
+}
+
+// TestLeaseRecordRoundTrip pins the lease layout and the reader's
+// checks: a record decodes to what was encoded, and one that is
+// truncated, or stored under another node's name, is a read failure.
+func TestLeaseRecordRoundTrip(t *testing.T) {
+	in := lease{node: Node{ID: "n2", Addr: "10.0.0.2:9127"}, epoch: 9, members: []string{"n1", "n2"}, counter: 1234}
+	out, err := decodeLease(in.encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.node != in.node || out.epoch != 9 || out.counter != 1234 || !slices.Equal(out.members, in.members) {
+		t.Fatalf("round trip: %+v, want %+v", out, in)
+	}
+	enc := in.encode()
+	if _, err := decodeLease(enc[:len(enc)-1]); err == nil {
+		t.Fatal("a truncated lease decoded")
+	}
+
 	h := newDetectorHarness(t, "n1", []string{"n1", "n2"}, DetectorConfig{})
-	h.ping.set("n2", deadPing)
-
-	h.det.Tick()
-	h.clock.Advance(h.pol.DeadAfter / 2)
-	// n2's heartbeat arrives inbound even though our outbound pings fail.
-	h.det.ObservePing(Node{ID: "n2", Addr: "127.0.0.1:1"})
-	h.clock.Advance(h.pol.SuspectAfter / 2)
-	h.det.Tick()
-	// Silence since the inbound ping is under SuspectAfter: still alive.
-	if v := h.det.ViewOf("n2"); v.State != PeerAlive {
-		t.Fatalf("n2 with inbound heartbeats: %+v, want alive", v)
+	if err := h.shared.WriteLease(leaseName("n2"), enc); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestDetectorObservePingSpoofRejected: an inbound ping only counts as
-// liveness when the claimed ID is a ring member pinging from the ring's
-// address for that ID. A spoofed ping — unknown ID, or a member's ID
-// from the wrong address — must neither create a peer record nor
-// refresh a silent peer, so it cannot veto a legitimate takeover.
-func TestDetectorObservePingSpoofRejected(t *testing.T) {
-	h := newDetectorHarness(t, "n1", []string{"n1", "n2"}, DetectorConfig{})
-	h.ping.set("n2", deadPing)
-	h.det.Tick()
-
-	// Unknown ID: no record is created.
-	h.det.ObservePing(Node{ID: "intruder", Addr: "127.0.0.1:1"})
-	if v := h.det.ViewOf("intruder"); v.Known {
-		t.Fatalf("spoofed unknown ID tracked: %+v", v)
+	if _, _, err := h.det.readLease("n2"); err != nil {
+		t.Fatalf("n2's own lease: %v", err)
 	}
-
-	// Known ID from the wrong address: n2's silence clock keeps running
-	// and it still goes suspect on schedule.
-	h.clock.Advance(h.pol.SuspectAfter / 2)
-	h.det.ObservePing(Node{ID: "n2", Addr: "10.6.6.6:666"})
-	h.clock.Advance(h.pol.SuspectAfter/2 + time.Millisecond)
-	h.det.Tick()
-	if v := h.det.ViewOf("n2"); v.State != PeerSuspect {
-		t.Fatalf("n2 after spoofed refresh: %+v, want suspect", v)
+	if err := h.shared.WriteLease(leaseName("n3"), enc); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestDetectorRingConflictReconciled: a peer answering with the same
-// epoch but a different membership hash exposes equal-epoch divergence
-// (two partitions that minted the same number against separate stores).
-// The smaller-ID side must repair it: merge the peer and mint a
-// strictly higher epoch, so the other side's apply accepts the fix
-// instead of rejecting a twin as stale.
-func TestDetectorRingConflictReconciled(t *testing.T) {
-	h := newDetectorHarness(t, "n1", []string{"n1", "n2"}, DetectorConfig{})
-	ourEpoch := h.co.Epoch()
-	h.ping.set("n2", func() (PingReply, error) {
-		// Same epoch, a hash that cannot match ours (ours is never 0, and
-		// a real divergent ring's hash differs; any nonzero foreign value
-		// exercises the same path).
-		return PingReply{Epoch: ourEpoch, Member: true, RingHash: h.co.Ring().Hash() + 1}, nil
-	})
-
-	h.det.Tick()
-
-	if e := h.co.Epoch(); e <= ourEpoch {
-		t.Fatalf("epoch after reconcile: %d, want > %d", e, ourEpoch)
-	}
-	if _, ok := h.co.Ring().Node("n2"); !ok {
-		t.Fatal("n2 not a member after reconcile")
-	}
-	if c := h.det.Counters(); c.RingConflicts != 1 {
-		t.Fatalf("RingConflicts = %d, want 1", c.RingConflicts)
-	}
-}
-
-// TestDetectorRingConflictLargerIDHolds: the larger-ID side of an
-// equal-epoch divergence leaves the repair to the smaller side (both
-// consider each other members, so exactly one initiator suffices).
-func TestDetectorRingConflictLargerIDHolds(t *testing.T) {
-	h := newDetectorHarness(t, "n2", []string{"n1", "n2"}, DetectorConfig{})
-	ourEpoch := h.co.Epoch()
-	h.ping.set("n1", func() (PingReply, error) {
-		return PingReply{Epoch: ourEpoch, Member: true, RingHash: h.co.Ring().Hash() + 1}, nil
-	})
-
-	h.det.Tick()
-
-	if e := h.co.Epoch(); e != ourEpoch {
-		t.Fatalf("epoch on the larger-ID side: %d, want %d (no reconcile)", e, ourEpoch)
-	}
-	if c := h.det.Counters(); c.RingConflicts != 0 {
-		t.Fatalf("RingConflicts = %d, want 0", c.RingConflicts)
-	}
-}
-
-// TestDetectorRingConflictEvictedSideRepairs: when the divergent peer
-// no longer counts us a member, it will never ping us — so we repair
-// even from the larger ID, re-admitting ourselves via the merge.
-func TestDetectorRingConflictEvictedSideRepairs(t *testing.T) {
-	h := newDetectorHarness(t, "n2", []string{"n1", "n2"}, DetectorConfig{})
-	ourEpoch := h.co.Epoch()
-	h.ping.set("n1", func() (PingReply, error) {
-		return PingReply{Epoch: ourEpoch, Member: false, RingHash: h.co.Ring().Hash() + 1}, nil
-	})
-
-	h.det.Tick()
-
-	if e := h.co.Epoch(); e <= ourEpoch {
-		t.Fatalf("epoch after evicted-side reconcile: %d, want > %d", e, ourEpoch)
-	}
-	if c := h.det.Counters(); c.RingConflicts != 1 {
-		t.Fatalf("RingConflicts = %d, want 1", c.RingConflicts)
+	if _, _, err := h.det.readLease("n3"); err == nil {
+		t.Fatal("n2's record read as n3's lease")
 	}
 }

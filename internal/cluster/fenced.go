@@ -49,12 +49,18 @@ type FencedStore struct {
 	writer atomic.Value // string: the writing node's ID, "" until SetWriter
 }
 
-// exclusiveCreator is the store-level arbitration primitive: an atomic
-// create-if-absent marker record. FileStore implements it with
-// O_CREATE|O_EXCL, MemStore with its mutex. Stores without it fall back
-// to unarbitrated local epoch minting.
-type exclusiveCreator interface {
+// arbiter is the store's marker namespace, through which the cluster
+// makes its two shared decisions: CreateExclusive is an atomic
+// create-if-absent record (FileStore links it into place, MemStore
+// holds its mutex), over which ring epochs are claimed; the lease
+// records are one mutable record per node, renewed by its failure
+// detector and read by its peers. Stores without it cannot arbitrate:
+// epochs fall back to unarbitrated local minting, and the cluster runs
+// no automatic failover.
+type arbiter interface {
 	CreateExclusive(name string, data []byte) (existing []byte, created bool, err error)
+	WriteLease(name string, data []byte) error
+	ReadLease(name string) ([]byte, bool, error)
 }
 
 // streamLocker is the store-level primitive that makes Save's
@@ -102,11 +108,31 @@ func (s *FencedStore) writerID() string {
 	return ""
 }
 
-// CanArbitrate reports whether the wrapped store provides the
-// exclusive-create markers AllocateEpoch arbitrates with.
+// CanArbitrate reports whether the wrapped store provides the marker
+// namespace AllocateEpoch and the failure detector's leases use.
 func (s *FencedStore) CanArbitrate() bool {
-	_, ok := s.inner.(exclusiveCreator)
+	_, ok := s.inner.(arbiter)
 	return ok
+}
+
+// WriteLease overwrites the named lease record; ErrNoArbiter over a
+// store that cannot arbitrate.
+func (s *FencedStore) WriteLease(name string, data []byte) error {
+	a, ok := s.inner.(arbiter)
+	if !ok {
+		return ErrNoArbiter
+	}
+	return a.WriteLease(name, data)
+}
+
+// ReadLease reads the named lease record; ErrNoArbiter over a store
+// that cannot arbitrate.
+func (s *FencedStore) ReadLease(name string) ([]byte, bool, error) {
+	a, ok := s.inner.(arbiter)
+	if !ok {
+		return nil, false, ErrNoArbiter
+	}
+	return a.ReadLease(name)
 }
 
 // AllocateEpoch mints the next ring epoch through the shared store.
@@ -118,10 +144,10 @@ func (s *FencedStore) CanArbitrate() bool {
 // Claimed-but-dead epochs (a claimant that crashed mid-takeover) are
 // skipped the same way, so a stuck claim costs one number, never
 // liveness. A node re-allocating an epoch it already claimed gets it
-// back (idempotent retry). Stores without CreateExclusive fall back to
-// from+1 with no arbitration.
+// back (idempotent retry). Stores that cannot arbitrate fall back to
+// from+1.
 func (s *FencedStore) AllocateEpoch(from uint64, claimant string) (uint64, error) {
-	ec, ok := s.inner.(exclusiveCreator)
+	ec, ok := s.inner.(arbiter)
 	if !ok {
 		return from + 1, nil
 	}

@@ -205,32 +205,6 @@ func (r *Ring) WithEpoch(epoch uint64) *Ring {
 
 // SameMembers reports whether two rings have identical membership
 // (IDs and addresses), ignoring epoch.
-// Hash digests the membership (IDs and addresses, in sorted order)
-// into a single word, exchanged on pings so peers can detect that two
-// rings at the *same* epoch disagree — a divergence the epoch
-// comparison alone is blind to. The epoch is deliberately excluded:
-// the hash answers "same members?", the epoch "same generation?". Never
-// zero, so a zero-valued reply (a transport that does not carry the
-// field) reads as "unknown", not "empty ring".
-func (r *Ring) Hash() uint64 {
-	h := uint64(offset64)
-	for _, n := range r.nodes {
-		for i := 0; i < len(n.ID); i++ {
-			h = fnvByte(h, n.ID[i])
-		}
-		h = fnvByte(h, 0x1f)
-		for i := 0; i < len(n.Addr); i++ {
-			h = fnvByte(h, n.Addr[i])
-		}
-		h = fnvByte(h, 0x1e)
-	}
-	h = mix64(h)
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
 func (r *Ring) SameMembers(o *Ring) bool {
 	if len(r.nodes) != len(o.nodes) {
 		return false

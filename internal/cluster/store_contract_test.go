@@ -15,7 +15,7 @@ import (
 // the caller's buffer, reusing its storage when the snapshot fits; the
 // returned bytes never alias the store's memory, so a later Save
 // leaves them as they were; and Save and Load of one stream may run
-// concurrently.
+// concurrently. Each also keeps lease records (checkLeases).
 func TestStateStoreContract(t *testing.T) {
 	cases := []struct {
 		name string
@@ -117,6 +117,57 @@ func TestStateStoreContract(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
+			checkLeases(t, s)
 		})
+	}
+}
+
+// checkLeases holds a store to the lease record contract: a missing
+// record is ok=false; a write overwrites the record in place, longer or
+// shorter, and reads back whole; reads copy out; and a record is never
+// listed, never loaded as a stream, and leaves stream state alone.
+func checkLeases(t *testing.T, st fleet.StateStore) {
+	t.Helper()
+	ls, ok := st.(interface {
+		WriteLease(name string, data []byte) error
+		ReadLease(name string) ([]byte, bool, error)
+		List() ([]string, error)
+	})
+	if !ok {
+		t.Fatalf("%T keeps no lease records", st)
+	}
+	if got, ok, err := ls.ReadLease("lease-n1"); ok || err != nil || got != nil {
+		t.Fatalf("missing lease: ReadLease = %q, %v, %v; want nil, false, nil", got, ok, err)
+	}
+	var first []byte
+	for i, rec := range []string{"renewal-1", "renewal-2 is longer", "r3"} {
+		if err := ls.WriteLease("lease-n1", []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := ls.ReadLease("lease-n1")
+		if err != nil || !ok || string(got) != rec {
+			t.Fatalf("ReadLease after write %d = %q, %v, %v; want %q", i, got, ok, err, rec)
+		}
+		if first == nil {
+			first = got
+		}
+	}
+	if string(first) != "renewal-1" {
+		t.Fatalf("a later write changed bytes an earlier ReadLease returned: %q", first)
+	}
+	names, err := ls.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if n != "s" {
+			t.Fatalf("List = %v; the lease record leaked into the stream inventory", names)
+		}
+	}
+	if got, ok, err := st.Load(nil, "lease-n1"); ok || err != nil {
+		t.Fatalf("Load of the lease name = %q, %v, %v; want no stream", got, ok, err)
+	}
+	if snap, ok, err := st.Load(nil, "s"); err != nil || !ok || len(snap) == 0 {
+		t.Fatalf("stream state after lease writes: ok=%v err=%v", ok, err)
 	}
 }

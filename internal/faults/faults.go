@@ -1,10 +1,11 @@
 // Package faults is a deterministic fault-injection harness for the
 // state-store pipeline. It wraps any state store with a seedable fault
 // schedule — fail-Nth, fail-rate bursts, outage windows, torn writes
-// that persist a truncated payload, latency injection — and provides
-// crash hooks for the FileStore durability path, so chaos tests can
-// prove the Fleet's phase sequences stay byte-identical under every
-// failure mode the fault model claims to survive.
+// that persist a truncated payload, latency injection, and a switchable
+// cut that severs one handle from a shared store — and provides crash
+// hooks for the FileStore durability path and a manual clock, so chaos
+// tests can prove the Fleet's phase sequences stay byte-identical under
+// every failure mode the fault model claims to survive.
 //
 // The package deliberately does not import internal/fleet: it declares
 // the store contract structurally, so fleet's own tests can use it
@@ -27,6 +28,18 @@ import (
 type StateStore interface {
 	Save(stream string, snapshot []byte) error
 	Load(dst []byte, stream string) (snapshot []byte, ok bool, err error)
+}
+
+// arbiter is the rest of the shared-store surface the cluster layer
+// uses (structurally fleet.MemStore's and fleet.FileStore's): the
+// epoch markers, the liveness lease records, stream locks and the
+// inventory.
+type arbiter interface {
+	CreateExclusive(name string, data []byte) (existing []byte, created bool, err error)
+	WriteLease(name string, data []byte) error
+	ReadLease(name string) ([]byte, bool, error)
+	LockStream(stream string) (unlock func(), err error)
+	List() ([]string, error)
 }
 
 // ErrInjected is the class of every failure this package injects.
@@ -68,11 +81,14 @@ type Schedule struct {
 	LatencyEvery int
 }
 
-// Store wraps an inner StateStore with a fault Schedule. It is safe
-// for concurrent use; the operation counter is shared across
-// goroutines, so under concurrency the *set* of injected faults is
-// schedule-determined even though their assignment to specific calls
-// follows arrival order.
+// Store wraps an inner StateStore with a fault Schedule. It forwards
+// the cluster layer's store surface too (epoch markers, lease records,
+// stream locks, the inventory), so a fenced store over it can still
+// arbitrate; lease reads and writes run under the schedule like loads
+// and saves. It is safe for concurrent use; the operation counter is
+// shared across goroutines, so under concurrency the *set* of injected
+// faults is schedule-determined even though their assignment to
+// specific calls follows arrival order.
 type Store struct {
 	inner StateStore
 	sched Schedule
@@ -87,6 +103,7 @@ type Store struct {
 	failNth   map[int]bool
 	tornNth   map[int]bool
 
+	cut      atomic.Bool
 	saves    atomic.Uint64
 	loads    atomic.Uint64
 	injected atomic.Uint64
@@ -111,8 +128,32 @@ func Wrap(inner StateStore, sched Schedule) *Store {
 	return s
 }
 
-// Ops returns how many operations (saves, loads) reached the wrapper.
+// Ops returns how many operations reached the wrapper: saves counts
+// Save and WriteLease calls, loads counts Load and ReadLease calls.
 func (s *Store) Ops() (saves, loads uint64) { return s.saves.Load(), s.loads.Load() }
+
+// Cut severs this handle from the inner store: every operation fails
+// with ErrInjected until Heal. Other handles on the same backing
+// storage are untouched, so a chaos test can cut one node off a shared
+// store while its peers keep using it.
+func (s *Store) Cut() { s.cut.Store(true) }
+
+// Heal undoes Cut.
+func (s *Store) Heal() { s.cut.Store(false) }
+
+// arbiter returns the inner store's cluster surface, or an error when
+// the handle is cut or the inner store has none.
+func (s *Store) arbiter(op string) (arbiter, error) {
+	if s.cut.Load() {
+		s.injected.Add(1)
+		return nil, fmt.Errorf("%w: %s on a cut store", ErrInjected, op)
+	}
+	a, ok := s.inner.(arbiter)
+	if !ok {
+		return nil, fmt.Errorf("faults: %s: inner store %T has no %s", op, s.inner, op)
+	}
+	return a, nil
+}
 
 // Injected returns how many operations failed by injection, and how
 // many of those were torn writes.
@@ -127,6 +168,8 @@ func (s *Store) decide() (op int, fail, tear bool) {
 	s.op++
 	op = s.op
 	switch {
+	case s.cut.Load():
+		fail = true
 	case s.tornNth[op]:
 		fail, tear = true, true
 	case s.failNth[op]:
@@ -196,6 +239,66 @@ func (s *Store) Load(dst []byte, stream string) ([]byte, bool, error) {
 	}
 	s.injected.Add(1)
 	return nil, false, fmt.Errorf("%w: load op %d", ErrInjected, op)
+}
+
+// WriteLease forwards a lease record write under the schedule, like
+// Save; it is never torn.
+func (s *Store) WriteLease(name string, data []byte) error {
+	s.saves.Add(1)
+	op, fail, _ := s.decide()
+	s.delay(op)
+	if fail {
+		s.injected.Add(1)
+		return fmt.Errorf("%w: lease write op %d", ErrInjected, op)
+	}
+	a, err := s.arbiter("WriteLease")
+	if err != nil {
+		return err
+	}
+	return a.WriteLease(name, data)
+}
+
+// ReadLease forwards a lease record read under the schedule, like Load.
+func (s *Store) ReadLease(name string) ([]byte, bool, error) {
+	s.loads.Add(1)
+	op, fail, _ := s.decide()
+	s.delay(op)
+	if fail {
+		s.injected.Add(1)
+		return nil, false, fmt.Errorf("%w: lease read op %d", ErrInjected, op)
+	}
+	a, err := s.arbiter("ReadLease")
+	if err != nil {
+		return nil, false, err
+	}
+	return a.ReadLease(name)
+}
+
+// CreateExclusive forwards an epoch marker claim. Only Cut fails it.
+func (s *Store) CreateExclusive(name string, data []byte) ([]byte, bool, error) {
+	a, err := s.arbiter("CreateExclusive")
+	if err != nil {
+		return nil, false, err
+	}
+	return a.CreateExclusive(name, data)
+}
+
+// LockStream forwards a stream lock. Only Cut fails it.
+func (s *Store) LockStream(stream string) (func(), error) {
+	a, err := s.arbiter("LockStream")
+	if err != nil {
+		return nil, err
+	}
+	return a.LockStream(stream)
+}
+
+// List forwards the stream inventory. Only Cut fails it.
+func (s *Store) List() ([]string, error) {
+	a, err := s.arbiter("List")
+	if err != nil {
+		return nil, err
+	}
+	return a.List()
 }
 
 // FS generates crash hooks for the FileStore durability path
@@ -292,4 +395,33 @@ func (w *WAL) BeforeSync(path string) error {
 		}
 	}
 	return nil
+}
+
+// Clock is a manual clock for deterministic failure-detector tests:
+// Now returns a time that only moves when the test calls Advance. A
+// frozen node's clock is one that simply stops advancing.
+type Clock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+// NewClock returns a clock starting at the given instant.
+func NewClock(start time.Time) *Clock {
+	return &Clock{now: start}
+}
+
+// Now returns the clock's current time. Pass the method value as a
+// detector's Now hook.
+func (c *Clock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// Advance moves the clock forward by d and returns the new time.
+func (c *Clock) Advance(d time.Duration) time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	return c.now
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"phasekit/internal/faults"
+	"phasekit/internal/fleet"
 )
 
 // memStore is a minimal inner store for exercising the wrapper.
@@ -198,5 +199,80 @@ func TestFSCrashHooks(t *testing.T) {
 	}
 	if fs.Crashes() != 4 {
 		t.Fatalf("Crashes() = %d, want 4", fs.Crashes())
+	}
+}
+
+// TestStoreCutHeal: a cut handle fails every operation, the cluster
+// surface included, while another handle on the same backing store
+// keeps working; Heal restores the cut handle. Lease reads and writes
+// count as loads and saves.
+func TestStoreCutHeal(t *testing.T) {
+	mem := fleet.NewMemStore()
+	cut := faults.Wrap(mem, faults.Schedule{})
+	peer := faults.Wrap(mem, faults.Schedule{})
+	cut.Cut()
+	if err := cut.Save("s", []byte("x")); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("Save on a cut store: %v", err)
+	}
+	if _, _, err := cut.Load(nil, "s"); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("Load on a cut store: %v", err)
+	}
+	if err := cut.WriteLease("lease-a", []byte("1")); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("WriteLease on a cut store: %v", err)
+	}
+	if _, _, err := cut.ReadLease("lease-a"); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("ReadLease on a cut store: %v", err)
+	}
+	if _, _, err := cut.CreateExclusive("epoch-2", []byte("a")); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("CreateExclusive on a cut store: %v", err)
+	}
+	if _, err := cut.LockStream("s"); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("LockStream on a cut store: %v", err)
+	}
+	if _, err := cut.List(); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("List on a cut store: %v", err)
+	}
+
+	// The peer's handle is not cut: it writes a lease and wins a marker.
+	if err := peer.WriteLease("lease-b", []byte("7")); err != nil {
+		t.Fatal(err)
+	}
+	if _, created, err := peer.CreateExclusive("epoch-2", []byte("b")); err != nil || !created {
+		t.Fatalf("peer CreateExclusive: created=%v err=%v", created, err)
+	}
+
+	cut.Heal()
+	if data, ok, err := cut.ReadLease("lease-b"); err != nil || !ok || string(data) != "7" {
+		t.Fatalf("ReadLease after Heal = %q, %v, %v", data, ok, err)
+	}
+	if prev, created, err := cut.CreateExclusive("epoch-2", []byte("a")); err != nil || created || string(prev) != "b" {
+		t.Fatalf("CreateExclusive after Heal = %q, %v, %v; want the peer's claim", prev, created, err)
+	}
+	unlock, err := cut.LockStream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlock()
+	if saves, loads := cut.Ops(); saves != 2 || loads != 3 {
+		t.Fatalf("Ops = %d saves, %d loads; want 2 and 3 (lease calls included)", saves, loads)
+	}
+}
+
+// TestClock: Now is frozen between Advances.
+func TestClock(t *testing.T) {
+	start := time.Unix(1000, 0)
+	c := faults.NewClock(start)
+	if !c.Now().Equal(start) {
+		t.Fatalf("start: %v", c.Now())
+	}
+	if got := c.Advance(3 * time.Second); !got.Equal(start.Add(3 * time.Second)) {
+		t.Fatalf("advance returned %v", got)
+	}
+	if !c.Now().Equal(start.Add(3 * time.Second)) {
+		t.Fatalf("after advance: %v", c.Now())
+	}
+	before := c.Now()
+	if !c.Now().Equal(before) {
+		t.Fatal("clock moved without Advance")
 	}
 }

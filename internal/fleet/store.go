@@ -136,6 +136,31 @@ func (s *MemStore) CreateExclusive(name string, data []byte) (existing []byte, c
 	return nil, true, nil
 }
 
+// WriteLease overwrites a named mutable record in the marker namespace,
+// in place. The cluster layer keeps one per node, its liveness lease;
+// a lease name must not also name a CreateExclusive marker. Like the
+// markers, lease records are never listed or loaded as stream state.
+func (s *MemStore) WriteLease(name string, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.marks == nil {
+		s.marks = make(map[string][]byte)
+	}
+	s.marks[name] = append(s.marks[name][:0], data...)
+	return nil
+}
+
+// ReadLease returns a copy of the named lease record.
+func (s *MemStore) ReadLease(name string) ([]byte, bool, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	data, ok := s.marks[name]
+	if !ok {
+		return nil, false, nil
+	}
+	return append([]byte(nil), data...), true, nil
+}
+
 // LockStream takes the stream's writer lock and returns the function
 // that releases it. It does not block Save or Load: it only excludes
 // other LockStream holders, for every handle sharing the backing
@@ -397,6 +422,36 @@ func (s *FileStore) CreateExclusive(name string, data []byte) (existing []byte, 
 		return nil, true, fmt.Errorf("fleet: syncing marker %q: %w", name, err)
 	}
 	return nil, true, nil
+}
+
+// WriteLease overwrites a named lease record (see the MemStore method)
+// in the marker namespace: written whole to "<name>.mark.tmp" and
+// renamed over "<name>.mark", so a reader sees the old record or the
+// new one. Neither file is fsynced: a lease is liveness evidence,
+// rewritten every detector interval, and one lost to a power cut is
+// replaced by the next write. Each name has one writer, so the fixed
+// temp name never races; the recovery scan and List ignore both files.
+func (s *FileStore) WriteLease(name string, data []byte) error {
+	path := filepath.Join(s.dir, escapeStream(name)+".mark")
+	if err := os.WriteFile(path+".tmp", data, 0o644); err != nil {
+		return fmt.Errorf("fleet: writing lease %q: %w", name, err)
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		return fmt.Errorf("fleet: writing lease %q: %w", name, err)
+	}
+	return nil
+}
+
+// ReadLease reads the named lease record.
+func (s *FileStore) ReadLease(name string) ([]byte, bool, error) {
+	data, err := os.ReadFile(filepath.Join(s.dir, escapeStream(name)+".mark"))
+	if os.IsNotExist(err) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("fleet: reading lease %q: %w", name, err)
+	}
+	return data, true, nil
 }
 
 // LockStream is MemStore.LockStream for a directory: an exclusive lock

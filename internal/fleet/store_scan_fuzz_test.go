@@ -2,11 +2,13 @@ package fleet
 
 // FuzzFileStoreRecoveryScan drives the FileStore recovery scan over
 // fuzzer-composed directories mixing valid snapshots, orphaned temp
-// files, corrupt snapshots, CreateExclusive markers, and foreign files.
-// The invariants: markers are never listed, never loadable as stream
-// state, and never quarantined; valid snapshots survive the scan and
-// load back byte-identically; orphans and corrupt snapshots are
-// quarantined exactly, never silently dropped from the stats.
+// files, corrupt snapshots, CreateExclusive markers, lease records,
+// torn lease temp files, and foreign files. The invariants: markers
+// and lease records (and a lease write torn before its rename) are
+// never listed, never loadable as stream state, and never quarantined;
+// a lease reads back its last whole write; valid snapshots survive the
+// scan and load back byte-identically; orphans and corrupt snapshots
+// are quarantined exactly, never silently dropped from the stats.
 
 import (
 	"bytes"
@@ -30,13 +32,16 @@ func FuzzFileStoreRecoveryScan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("setup store: %v", err)
 		}
-		valid := map[string][]byte{} // stream -> payload that must survive
-		marks := map[string][]byte{} // marker name -> contents that must survive
-		corrupt := map[string]bool{} // snapshots that must be quarantined
-		orphans := 0                 // .tmp-* files that must be quarantined
+		valid := map[string][]byte{}  // stream -> payload that must survive
+		marks := map[string][]byte{}  // marker name -> contents that must survive
+		corrupt := map[string]bool{}  // snapshots that must be quarantined
+		leases := map[string][]byte{} // lease name -> last whole write
+		torn := map[string]bool{}     // leases with a torn temp file beside them
+		orphans := 0                  // .tmp-* files that must be quarantined
 		for i, b := range script {
 			name := fmt.Sprintf("s-%d", b%7) // small namespace forces collisions
-			switch b % 5 {
+			lease := fmt.Sprintf("lease-%d", b%3)
+			switch b % 7 {
 			case 0: // valid snapshot (overwrites any earlier corrupt file)
 				payload := []byte(fmt.Sprintf("payload-%d-%d", i, b))
 				if err := setup.Save(name, payload); err != nil {
@@ -69,6 +74,19 @@ func FuzzFileStoreRecoveryScan(f *testing.F) {
 				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("notes-%d.txt", i)), []byte("foreign"), 0o644); err != nil {
 					t.Fatalf("foreign: %v", err)
 				}
+			case 5: // lease record, overwritten in place
+				data := []byte(fmt.Sprintf("renewal-%d", i))
+				if err := setup.WriteLease(lease, data); err != nil {
+					t.Fatalf("WriteLease %q: %v", lease, err)
+				}
+				leases[lease] = data
+				delete(torn, lease) // the write renamed its temp file away
+			case 6: // a lease write torn before its rename
+				path := filepath.Join(dir, escapeStream(lease)+".mark.tmp")
+				if err := os.WriteFile(path, []byte("rene"), 0o644); err != nil {
+					t.Fatalf("torn lease: %v", err)
+				}
+				torn[lease] = true
 			}
 		}
 
@@ -109,6 +127,20 @@ func FuzzFileStoreRecoveryScan(f *testing.F) {
 			// Anything listed beyond the valid set can only be a marker,
 			// quarantined snapshot, or foreign file leaking through.
 			t.Fatalf("List leaked %q (markers and quarantined files must stay out of the inventory)", name)
+		}
+
+		// Leases and torn lease temp files: in place, never stream state.
+		for _, lease := range []string{"lease-0", "lease-1", "lease-2"} {
+			got, ok, err := st.ReadLease(lease)
+			if err != nil || ok != (leases[lease] != nil) || !bytes.Equal(got, leases[lease]) {
+				t.Fatalf("ReadLease %q = %q, %v, %v; want the last whole write %q", lease, got, ok, err, leases[lease])
+			}
+			if _, ok, _ := st.Load(nil, lease); ok {
+				t.Fatalf("lease %q loadable as stream state", lease)
+			}
+			if _, err := os.Stat(filepath.Join(dir, escapeStream(lease)+".mark.tmp")); torn[lease] && err != nil {
+				t.Fatalf("torn lease temp file of %q moved by the scan: %v", lease, err)
+			}
 		}
 
 		// Markers: still on disk, contents intact, never stream state.

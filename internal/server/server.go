@@ -164,10 +164,6 @@ type Metrics struct {
 	// Redirects counts batches NACKed to their owning node. It stays
 	// zero outside cluster mode.
 	Redirects uint64
-	// Pings and Probes count failure-detector heartbeats and quorum
-	// probes answered. Both stay zero outside cluster mode.
-	Pings  uint64
-	Probes uint64
 	// WALFailures counts batches that were applied in memory but NACKed
 	// because their write-ahead-log append or commit failed — the
 	// durability contract could not be met, so the client must not
@@ -193,8 +189,7 @@ type Server struct {
 	draining atomic.Bool
 
 	conns64, frames, acks, nacks, malformed, dead atomic.Uint64
-	bursts, burstFrames, redirects                atomic.Uint64
-	pings, probes, walFails                       atomic.Uint64
+	bursts, burstFrames, redirects, walFails      atomic.Uint64
 }
 
 // New returns an unstarted server.
@@ -241,8 +236,6 @@ func (s *Server) Metrics() Metrics {
 		Bursts:      s.bursts.Load(),
 		BurstFrames: s.burstFrames.Load(),
 		Redirects:   s.redirects.Load(),
-		Pings:       s.pings.Load(),
-		Probes:      s.probes.Load(),
 		WALFailures: s.walFails.Load(),
 	}
 }
@@ -673,7 +666,7 @@ func (s *Server) controlFrame(fr wire.FrameView, wbuf []byte) []byte {
 		}
 		s.acks.Add(1)
 		return wire.AppendAssignFrame(wbuf, fr.Seq, cluster.InfoFromRing(ring))
-	case wire.TagAssign:
+	default: // wire.TagAssign
 		next, err := cluster.RingFromInfo(fr.Ring)
 		if err != nil {
 			return s.nack(wbuf, fr.Seq, wire.NackMalformed, err.Error())
@@ -683,19 +676,6 @@ func (s *Server) controlFrame(fr wire.FrameView, wbuf []byte) []byte {
 		}
 		s.acks.Add(1)
 		return wire.AppendAckFrame(wbuf, fr.Seq)
-	case wire.TagPing:
-		epoch, member, ringHash := co.HandlePing(cluster.Node{ID: fr.Node.ID, Addr: fr.Node.Addr}, fr.Epoch)
-		self := co.Self()
-		s.pings.Add(1)
-		s.acks.Add(1)
-		return wire.AppendPingAckFrame(wbuf, fr.Seq,
-			wire.NodeInfo{ID: self.ID, Addr: self.Addr}, epoch, member, ringHash)
-	default: // wire.TagProbe
-		// The probe's subject rides the Node.ID field.
-		rep := co.HandleProbe(fr.Node.ID)
-		s.probes.Add(1)
-		s.acks.Add(1)
-		return wire.AppendProbeAckFrame(wbuf, fr.Seq, uint8(rep.State), uint64(rep.Age.Milliseconds()), rep.Known)
 	}
 }
 
@@ -788,7 +768,7 @@ func (s *Server) stageFrame(cs *connState, payload []byte) {
 			shard:  int32(si),
 			runIdx: int32(len(rb.batches) - 1),
 		})
-	case wire.TagJoin, wire.TagAssign, wire.TagPing, wire.TagProbe:
+	case wire.TagJoin, wire.TagAssign:
 		buf.recycle()
 		// Barrier, like a flush: staged batches must reach their shards
 		// before ownership changes, so they land in the snapshot of any

@@ -8,6 +8,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -310,6 +311,66 @@ func TestMalformedPayloadQuarantinesStream(t *testing.T) {
 	}
 	if m := srv.Metrics(); m.Malformed != 2 {
 		t.Fatalf("malformed count: %+v", m)
+	}
+}
+
+// TestRetiredControlTagsNacked: frames carrying the retired heartbeat
+// and quorum-probe tags (0x39–0x3C), in the layouts their senders used,
+// are malformed: each is NACKed and the connection keeps serving.
+func TestRetiredControlTagsNacked(t *testing.T) {
+	srv, _, addr := startServer(t, fleet.Config{}, nil)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(wire.Magic)); err != nil {
+		t.Fatalf("magic: %v", err)
+	}
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	readResp := func() wire.Frame {
+		t.Helper()
+		payload, err := wire.ReadFrame(conn, nil, 0)
+		if err != nil {
+			t.Fatalf("read response: %v", err)
+		}
+		fr, err := wire.DecodeFrame(payload)
+		if err != nil {
+			t.Fatalf("decode response: %v", err)
+		}
+		return fr
+	}
+	frame := func(tag, version byte, fields ...[]byte) []byte {
+		payload := []byte{tag, version}
+		payload = binary.LittleEndian.AppendUint64(payload, 7) // seq
+		for _, f := range fields {
+			payload = append(payload, f...)
+		}
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	str := func(s string) []byte { return append(binary.LittleEndian.AppendUint32(nil, uint32(len(s))), s...) }
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	for _, f := range [][]byte{
+		frame(0x39, 1, str("n2"), str("127.0.0.1:9131"), u64(3)),                         // PING
+		frame(0x3A, 2, str("n1"), str("127.0.0.1:9127"), u64(3), []byte{1}, u64(0xfeed)), // PING_ACK
+		frame(0x3B, 1, str("n2")),                       // PROBE
+		frame(0x3C, 1, []byte{2}, u64(1500), []byte{1}), // PROBE_ACK
+	} {
+		if _, err := conn.Write(f); err != nil {
+			t.Fatalf("write tag %#02x: %v", f[4], err)
+		}
+		if fr := readResp(); fr.Tag != wire.TagNack || fr.Code != wire.NackMalformed {
+			t.Fatalf("tag %#02x: %+v, want a malformed NACK", f[4], fr)
+		}
+	}
+	if _, err := conn.Write(wire.AppendFlushFrame(nil, 8)); err != nil {
+		t.Fatalf("write flush: %v", err)
+	}
+	if fr := readResp(); fr.Tag != wire.TagAck || fr.Seq != 8 {
+		t.Fatalf("flush after the retired frames: %+v, want ACK 8", fr)
+	}
+	if m := srv.Metrics(); m.Malformed != 4 {
+		t.Fatalf("malformed count: %d, want 4", m.Malformed)
 	}
 }
 

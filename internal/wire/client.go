@@ -921,71 +921,6 @@ func (c *Client) SendAssign(ring RingInfo) error {
 	return c.roundTrip(c.seq)
 }
 
-// PingResult is a peer's answer to a heartbeat: its identity, the ring
-// epoch it follows, whether it still counts the pinger a member, and
-// its ring's membership hash.
-type PingResult struct {
-	Node     NodeInfo
-	Epoch    uint64
-	Member   bool
-	RingHash uint64
-}
-
-// SendPing sends one heartbeat identifying the pinger (self, at its
-// current ring epoch) and waits for the peer's PingAck.
-func (c *Client) SendPing(self NodeInfo, epoch uint64) (PingResult, error) {
-	if len(c.pending) > 0 {
-		if err := c.Drain(); err != nil {
-			return PingResult{}, err
-		}
-	}
-	c.seq++
-	c.wbuf = AppendPingFrame(c.wbuf[:0], c.seq, self, epoch)
-	fr, err := c.roundTripFrame()
-	if err != nil {
-		return PingResult{}, err
-	}
-	if fr.Tag != TagPingAck {
-		return PingResult{}, fmt.Errorf("wire: ping answered with tag %#02x", fr.Tag)
-	}
-	if fr.Seq != c.seq {
-		return PingResult{}, fmt.Errorf("wire: ping ack for frame %d, want %d", fr.Seq, c.seq)
-	}
-	return PingResult{Node: fr.Node, Epoch: fr.Epoch, Member: fr.Member, RingHash: fr.RingHash}, nil
-}
-
-// ProbeResult is a peer's view of a third node: the detector state it
-// holds for the subject and how long ago it last heard from it. Known
-// is false when the peer does not track the subject at all.
-type ProbeResult struct {
-	State uint8
-	Age   time.Duration
-	Known bool
-}
-
-// SendProbe asks the peer for its view of subject (a node ID) — the
-// quorum check before acting on a suspected death.
-func (c *Client) SendProbe(subject string) (ProbeResult, error) {
-	if len(c.pending) > 0 {
-		if err := c.Drain(); err != nil {
-			return ProbeResult{}, err
-		}
-	}
-	c.seq++
-	c.wbuf = AppendProbeFrame(c.wbuf[:0], c.seq, subject)
-	fr, err := c.roundTripFrame()
-	if err != nil {
-		return ProbeResult{}, err
-	}
-	if fr.Tag != TagProbeAck {
-		return ProbeResult{}, fmt.Errorf("wire: probe answered with tag %#02x", fr.Tag)
-	}
-	if fr.Seq != c.seq {
-		return ProbeResult{}, fmt.Errorf("wire: probe ack for frame %d, want %d", fr.Seq, c.seq)
-	}
-	return ProbeResult{State: fr.State, Age: time.Duration(fr.AgeMs) * time.Millisecond, Known: fr.Known}, nil
-}
-
 // Close closes the connection — and, in redirect-following mode, every
 // peer connection opened on redirects.
 func (c *Client) Close() error {

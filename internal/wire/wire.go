@@ -74,19 +74,11 @@ const (
 	// by an Assign carrying the new ring) and an epoch-numbered
 	// membership push (Assign, answered by Ack or NackStaleEpoch).
 	// Streams move between nodes through the shared store, not the
-	// wire; 0x37 and 0x38 are retired.
+	// wire, so 0x37 and 0x38 are retired; so are 0x39–0x3C, the
+	// heartbeat and quorum-probe frames, since liveness is decided by
+	// lease records in that store too.
 	TagJoin   = 0x35
 	TagAssign = 0x36
-
-	// Self-healing control frames. Ping/PingAck carry the failure
-	// detector's heartbeats (and each side's ring epoch, so a lagging
-	// or evicted node finds out from any peer it can still reach).
-	// Probe/ProbeAck ask a peer for its own view of a third node —
-	// the quorum check before a death is acted on.
-	TagPing     = 0x39
-	TagPingAck  = 0x3A
-	TagProbe    = 0x3B
-	TagProbeAck = 0x3C
 )
 
 // Versions of each payload layout this package encodes and decodes.
@@ -98,9 +90,6 @@ const (
 	// done on redirect/replay never touches it.
 	batchVersion = 2
 	ctrlVersion  = 1
-	// pingAckVersion 2 added the responder's ring membership hash, so a
-	// pinger can detect that two rings at the same epoch disagree.
-	pingAckVersion = 2
 )
 
 // Nack codes: why the server refused a frame.
@@ -197,9 +186,7 @@ type RingInfo struct {
 
 // Frame is one decoded payload. Tag selects which fields are
 // meaningful: Batch for TagBatch; Seq for TagFlush/TagAck/TagNack;
-// Code and Detail for TagNack; Node for TagJoin; Ring for TagAssign;
-// Node and Epoch for TagPing, plus Member and RingHash for TagPingAck;
-// Node.ID for TagProbe, plus State/AgeMs/Known for TagProbeAck.
+// Code and Detail for TagNack; Node for TagJoin; Ring for TagAssign.
 type Frame struct {
 	Tag    byte
 	Batch  Batch
@@ -207,15 +194,8 @@ type Frame struct {
 	Code   uint8
 	Detail string
 
-	Epoch uint64
-	Node  NodeInfo
-	Ring  RingInfo
-
-	Member   bool   // PingAck: is the pinger still in the responder's ring?
-	RingHash uint64 // PingAck: responder's ring membership hash (0 = not carried)
-	State    uint8  // ProbeAck: responder's view of the subject (detector PeerState)
-	AgeMs    uint64 // ProbeAck: ms since the responder last heard the subject
-	Known    bool   // ProbeAck: false when the responder does not track the subject
+	Node NodeInfo
+	Ring RingInfo
 }
 
 // FrameView is the zero-copy decoded form of a frame payload: Stream
@@ -236,15 +216,8 @@ type FrameView struct {
 
 	// Control-frame fields. Node and Ring are decoded as owned values —
 	// control frames are rare, so the allocation does not matter.
-	Epoch uint64
-	Node  NodeInfo
-	Ring  RingInfo
-
-	Member   bool
-	RingHash uint64
-	State    uint8
-	AgeMs    uint64
-	Known    bool
+	Node NodeInfo
+	Ring RingInfo
 }
 
 // eventSize is the encoded size of one branch event (pc u64 + instrs
@@ -328,57 +301,6 @@ func AppendAssignFrame(dst []byte, seq uint64, ring RingInfo) []byte {
 			e.String(n.ID)
 			e.String(n.Addr)
 		}
-	})
-}
-
-// AppendPingFrame appends a framed heartbeat to dst: the sender's
-// identity and the ring epoch it is operating at.
-func AppendPingFrame(dst []byte, seq uint64, node NodeInfo, epoch uint64) []byte {
-	return appendFrame(dst, func(e *state.Encoder) {
-		e.Section(TagPing, ctrlVersion)
-		e.U64(seq)
-		e.String(node.ID)
-		e.String(node.Addr)
-		e.U64(epoch)
-	})
-}
-
-// AppendPingAckFrame appends a framed heartbeat reply to dst: the
-// responder's identity, its ring epoch, whether the pinger is still a
-// member of that ring (false tells a zombie it was evicted), and the
-// ring's membership hash (how equal-epoch divergence is detected).
-func AppendPingAckFrame(dst []byte, seq uint64, node NodeInfo, epoch uint64, member bool, ringHash uint64) []byte {
-	return appendFrame(dst, func(e *state.Encoder) {
-		e.Section(TagPingAck, pingAckVersion)
-		e.U64(seq)
-		e.String(node.ID)
-		e.String(node.Addr)
-		e.U64(epoch)
-		e.Bool(member)
-		e.U64(ringHash)
-	})
-}
-
-// AppendProbeFrame appends a framed liveness probe about subject (a
-// node ID) to dst.
-func AppendProbeFrame(dst []byte, seq uint64, subject string) []byte {
-	return appendFrame(dst, func(e *state.Encoder) {
-		e.Section(TagProbe, ctrlVersion)
-		e.U64(seq)
-		e.String(subject)
-	})
-}
-
-// AppendProbeAckFrame appends a framed probe reply to dst: the
-// responder's view of the subject (detector state + age of the last
-// heartbeat in ms), or known=false when it does not track the subject.
-func AppendProbeAckFrame(dst []byte, seq uint64, state8 uint8, ageMs uint64, known bool) []byte {
-	return appendFrame(dst, func(e *state.Encoder) {
-		e.Section(TagProbeAck, ctrlVersion)
-		e.U64(seq)
-		e.U8(state8)
-		e.U64(ageMs)
-		e.Bool(known)
 	})
 }
 
@@ -468,32 +390,6 @@ func DecodeFrame(payload []byte) (Frame, error) {
 				f.Ring.Nodes[i] = NodeInfo{ID: d.String(), Addr: d.String()}
 			}
 		}
-	case TagPing:
-		d.Section(TagPing, ctrlVersion)
-		f.Seq = d.U64()
-		f.Node.ID = d.String()
-		f.Node.Addr = d.String()
-		f.Epoch = d.U64()
-	case TagPingAck:
-		if v := d.Section(TagPingAck, pingAckVersion); v != 0 && v != pingAckVersion {
-			return f, oldVersion(TagPingAck, v, pingAckVersion)
-		}
-		f.Seq = d.U64()
-		f.Node.ID = d.String()
-		f.Node.Addr = d.String()
-		f.Epoch = d.U64()
-		f.Member = d.Bool()
-		f.RingHash = d.U64()
-	case TagProbe:
-		d.Section(TagProbe, ctrlVersion)
-		f.Seq = d.U64()
-		f.Node.ID = d.String()
-	case TagProbeAck:
-		d.Section(TagProbeAck, ctrlVersion)
-		f.Seq = d.U64()
-		f.State = d.U8()
-		f.AgeMs = d.U64()
-		f.Known = d.Bool()
 	default:
 		return f, fmt.Errorf("%w: unknown tag %#02x", ErrMalformed, f.Tag)
 	}
@@ -564,32 +460,6 @@ func DecodeFrameView(payload []byte, events []trace.BranchEvent) (FrameView, err
 				f.Ring.Nodes[i] = NodeInfo{ID: d.String(), Addr: d.String()}
 			}
 		}
-	case TagPing:
-		d.Section(TagPing, ctrlVersion)
-		f.Seq = d.U64()
-		f.Node.ID = d.String()
-		f.Node.Addr = d.String()
-		f.Epoch = d.U64()
-	case TagPingAck:
-		if v := d.Section(TagPingAck, pingAckVersion); v != 0 && v != pingAckVersion {
-			return f, oldVersion(TagPingAck, v, pingAckVersion)
-		}
-		f.Seq = d.U64()
-		f.Node.ID = d.String()
-		f.Node.Addr = d.String()
-		f.Epoch = d.U64()
-		f.Member = d.Bool()
-		f.RingHash = d.U64()
-	case TagProbe:
-		d.Section(TagProbe, ctrlVersion)
-		f.Seq = d.U64()
-		f.Node.ID = d.String()
-	case TagProbeAck:
-		d.Section(TagProbeAck, ctrlVersion)
-		f.Seq = d.U64()
-		f.State = d.U8()
-		f.AgeMs = d.U64()
-		f.Known = d.Bool()
 	default:
 		return f, fmt.Errorf("%w: unknown tag %#02x", ErrMalformed, f.Tag)
 	}

@@ -158,9 +158,10 @@ func TestDecodeMalformedPreservesStream(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownTagAndTrailer(t *testing.T) {
-	// 0x37 and 0x38 (the wire snapshot handoff) and 0x3D are retired
-	// tags: both decode paths must refuse them like any unassigned one.
-	for _, tag := range []byte{0x7f, 0x37, 0x38, 0x3D} {
+	// 0x37 and 0x38 (the wire snapshot handoff), 0x39–0x3C (heartbeats
+	// and quorum probes) and 0x3D are retired tags: both decode paths
+	// must refuse them like any unassigned one.
+	for _, tag := range []byte{0x7f, 0x37, 0x38, 0x39, 0x3A, 0x3B, 0x3C, 0x3D} {
 		if _, err := DecodeFrame([]byte{tag, 1, 0, 0}); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "unknown tag") {
 			t.Fatalf("tag %#02x: %v, want ErrMalformed unknown tag", tag, err)
 		}
@@ -179,10 +180,11 @@ func TestDecodeRejectsUnknownTagAndTrailer(t *testing.T) {
 }
 
 // TestDecodeRejectsRetiredLayouts pins that every payload kind has one
-// layout: a v1 batch (no stream sequence), a v1 ping-ack (no ring
-// hash) and a current-layout batch whose stream sequence is 0 are all
-// malformed, through both decoders — and the batch refusals still name
-// the stream, so the server can charge it the offense.
+// layout: a v1 batch (no stream sequence), a whole frame of a retired
+// kind (the last heartbeat ack layout, tag 0x3A) and a current-layout
+// batch whose stream sequence is 0 are all malformed, through both
+// decoders — and the batch refusals still name the stream, so the
+// server can charge it the offense.
 func TestDecodeRejectsRetiredLayouts(t *testing.T) {
 	v1Batch := []byte{TagBatch, 1}
 	v1Batch = binary.LittleEndian.AppendUint64(v1Batch, 7) // seq
@@ -192,13 +194,14 @@ func TestDecodeRejectsRetiredLayouts(t *testing.T) {
 	v1Batch = append(v1Batch, 0)                           // endInterval
 	v1Batch = binary.LittleEndian.AppendUint32(v1Batch, 0) // no events
 
-	v1PingAck := []byte{TagPingAck, 1}
-	v1PingAck = binary.LittleEndian.AppendUint64(v1PingAck, 8) // seq
-	v1PingAck = binary.LittleEndian.AppendUint32(v1PingAck, 2) // id
-	v1PingAck = append(v1PingAck, 'n', '1')
-	v1PingAck = binary.LittleEndian.AppendUint32(v1PingAck, 0) // addr
-	v1PingAck = binary.LittleEndian.AppendUint64(v1PingAck, 3) // epoch
-	v1PingAck = append(v1PingAck, 1)                           // member
+	pingAck := []byte{0x3A, 2}
+	pingAck = binary.LittleEndian.AppendUint64(pingAck, 8) // seq
+	pingAck = binary.LittleEndian.AppendUint32(pingAck, 2) // id
+	pingAck = append(pingAck, 'n', '1')
+	pingAck = binary.LittleEndian.AppendUint32(pingAck, 0)      // addr
+	pingAck = binary.LittleEndian.AppendUint64(pingAck, 3)      // epoch
+	pingAck = append(pingAck, 1)                                // member
+	pingAck = binary.LittleEndian.AppendUint64(pingAck, 0xfeed) // ring hash
 
 	unstamped := AppendBatchFrame(nil, Batch{Seq: 9, Stream: "s"})[lenSize:]
 
@@ -208,7 +211,7 @@ func TestDecodeRejectsRetiredLayouts(t *testing.T) {
 		stream  string // the stream the refusal must still name
 	}{
 		{"v1 batch", v1Batch, ""},
-		{"v1 ping-ack", v1PingAck, ""},
+		{"retired ping-ack", pingAck, ""},
 		{"unstamped batch", unstamped, "s"},
 	} {
 		f, err := DecodeFrame(tc.payload)
@@ -225,10 +228,6 @@ func TestDecodeRejectsRetiredLayouts(t *testing.T) {
 		if string(v.Stream) != tc.stream {
 			t.Fatalf("%s: DecodeFrameView stream %q, want %q", tc.name, v.Stream, tc.stream)
 		}
-	}
-	// The current ping-ack layout still decodes.
-	if f := roundTrip(t, AppendPingAckFrame(nil, 8, NodeInfo{ID: "n1"}, 3, true, 0xfeed)); f.Tag != TagPingAck || f.RingHash != 0xfeed {
-		t.Fatalf("ping-ack: %+v", f)
 	}
 }
 

@@ -2,16 +2,16 @@
 # phasekitd cluster check: golden equivalence across membership churn,
 # including an unannounced crash.
 #
-# Three nodes share one checkpoint store and one WAL root, and
-# heartbeat each other on a compressed failure-detection ladder. A
-# workload is ingested through node 1 with a redirect-following client,
-# so every stream lands on its ring owner. Mid-run, node 2 is kill -9'd
-# with NO operator command and NO checkpoint barrier — batches it ACKed
-# after its last checkpoint exist only in its write-ahead log. The
-# survivors must detect the silence, confirm the death with each other,
-# bump the epoch, adopt node 2's streams from its checkpoints, and
-# replay its WAL tail on top. Later node 3 drains gracefully and the
-# lone survivor auto-evicts it the same way. The deduplicated union of
+# Three nodes share one checkpoint store and one WAL root, and renew
+# lease records in that store on a compressed failure-detection ladder.
+# A workload is ingested through node 1 with a redirect-following
+# client, so every stream lands on its ring owner. Mid-run, node 2 is
+# kill -9'd with NO operator command and NO checkpoint barrier —
+# batches it ACKed after its last checkpoint exist only in its
+# write-ahead log. The survivors must see its lease stand still, bump
+# the epoch, adopt node 2's streams from its checkpoints, and replay its
+# WAL tail on top. Later node 3 drains gracefully (its lease stops with
+# it) and the lone survivor auto-evicts it the same way. The deduplicated union of
 # the per-node phase logs (WAL replay re-closes intervals the dead node
 # already logged, as exact duplicates) must be line-identical to a
 # single-process golden run — growth, redirects, handoffs,
@@ -110,7 +110,7 @@ echo "==> segment 1: ingest batches [0, $CUT1) through n1 (redirects fan streams
 echo "==> kill -9 n2 mid-interval — no leave, no checkpoint barrier; its ACKed tail lives only in the WAL"
 crash_node 1
 
-echo "==> survivors must detect, confirm, and take over on their own (epoch 3 -> 4)"
+echo "==> survivors must see n2's lease stand still and take over on their own (epoch 3 -> 4)"
 wait_epoch 4
 [ "$(members)" = 2 ] || { echo "FAIL: expected 2 members after crash-failover, saw $(members)" >&2; exit 1; }
 
