@@ -156,7 +156,7 @@ type peerHealth struct {
 	node    Node
 	counter uint64    // the renewal counter last read from its lease
 	seen    bool      // counter holds a value read from the store
-	changed time.Time // when the counter was last seen to change (or the peer was registered)
+	changed time.Time // when the counter was last seen to change (or the grace period last restarted)
 	state   PeerState
 }
 
@@ -175,7 +175,9 @@ type peerHealth struct {
 // but which renews its lease stays alive, and no vote is needed. A
 // node that cannot reach the store is declared dead and fenced, which
 // is right: it cannot checkpoint either. An observer whose own reads
-// fail sees nothing that tick and declares nobody dead. No clocks are
+// fail sees nothing that tick and declares nobody dead, and once it
+// reads again every peer's grace period restarts: a store outage stops
+// every renewal, so the time it lasted is no evidence. No clocks are
 // compared: a counter that changed (even backwards, after a restart)
 // is a renewal.
 //
@@ -194,6 +196,7 @@ type Detector struct {
 	mu      sync.Mutex
 	peers   map[string]*peerHealth
 	evicted bool
+	blind   bool // a store read failed since the last clean tick
 
 	stop chan struct{}
 	done chan struct{}
@@ -287,19 +290,9 @@ func (d *Detector) Stop() {
 // loop.
 func (d *Detector) Tick() {
 	self := d.coord.Self()
-	ring := d.coord.Ring()
+	ring := d.renew(self)
 	epoch := ring.Epoch()
-	fence := d.coord.fence
-
 	members := ring.Nodes()
-	own := lease{node: self, epoch: epoch, members: make([]string, len(members)), counter: d.renewals.Add(1)}
-	for i, n := range members {
-		own.members[i] = n.ID
-	}
-	if err := fence.WriteLease(leaseName(self.ID), own.encode()); err != nil {
-		d.renewFailures.Add(1)
-		d.log("detector: renewing lease: %v", err)
-	}
 
 	// Sync the peer table with the ring: new members start alive with a
 	// full grace period; departed members are forgotten.
@@ -330,7 +323,7 @@ func (d *Detector) Tick() {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ID < targets[j].ID })
 
 	// left counts peers that already serve the ring this node is
-	// leaving; blind is set when any read failed.
+	// leaving; blind is set when any store read failed.
 	left, blind := 0, false
 	for _, peer := range targets {
 		rec, ok, err := d.readLease(peer.ID)
@@ -341,7 +334,7 @@ func (d *Detector) Tick() {
 			continue
 		}
 		if !ok {
-			continue // never renewed: its grace period runs from registration
+			continue // no usable lease: no renewal seen, the peer ages
 		}
 		d.observe(peer.ID, rec.counter, now)
 		if rec.epoch <= epoch {
@@ -372,12 +365,25 @@ func (d *Detector) Tick() {
 	}
 	// A tick this node could not read the store on is no evidence: a
 	// standing counter and an unreadable one look alike from here.
+	d.mu.Lock()
 	if blind {
+		d.blind = true
+		d.mu.Unlock()
 		return
 	}
+	// Only time this node could see counts: if the store was down, the
+	// peers could not renew either, so every grace period restarts.
+	if d.blind {
+		d.log("detector: reading the store again; restarting every peer's grace period")
+		for _, ph := range d.peers {
+			ph.changed = now
+		}
+		d.blind = false
+	}
 
+	// One initiator per death: the smallest alive ID, self included.
 	var dead []Node
-	d.mu.Lock()
+	initiator := true
 	for _, ph := range d.peers {
 		age := now.Sub(ph.changed)
 		switch {
@@ -392,40 +398,72 @@ func (d *Detector) Tick() {
 		}
 		if ph.state == PeerDead {
 			dead = append(dead, ph.node)
+		} else if ph.state == PeerAlive && ph.node.ID < self.ID {
+			initiator = false
 		}
 	}
 	d.mu.Unlock()
-	if len(dead) == 0 || !d.isInitiator(self.ID) {
+	if len(dead) == 0 || !initiator {
 		return
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i].ID < dead[j].ID })
 
-	// One initiator per death: the smallest alive ID. Every observer
-	// reads the same leases, so they agree on it up to a tick of skew;
-	// two initiators racing Failover each mint a distinct epoch through
-	// the store's exclusive-create arbiter, and the higher one wins.
+	// Every observer reads the same leases, so they agree on the
+	// initiator up to a tick of skew; two initiators racing Failover each
+	// mint a distinct epoch through the store's exclusive-create arbiter,
+	// and the higher one wins.
+	took := false
 	for _, n := range dead {
 		d.log("detector: taking over for dead peer %s", n.ID)
 		if _, err := d.coord.Failover(n.ID); err != nil {
 			d.log("detector: failover for %s: %v", n.ID, err)
 		} else {
 			d.failovers.Add(1)
+			took = true
 		}
+	}
+	// Publish the new ring now rather than a tick later: the lease is how
+	// a zombie learns it was evicted and a lagging node that it lags.
+	if took {
+		d.renew(self)
 	}
 }
 
-// readLease reads and decodes one peer's lease. A record that does not
-// decode, or names another node, is an error like a failed read.
+// renew writes this node's lease at its current ring, bumping the
+// renewal counter, and returns that ring.
+func (d *Detector) renew(self Node) *Ring {
+	ring := d.coord.Ring()
+	members := ring.Nodes()
+	own := lease{node: self, epoch: ring.Epoch(), members: make([]string, len(members)), counter: d.renewals.Add(1)}
+	for i, n := range members {
+		own.members[i] = n.ID
+	}
+	if err := d.coord.fence.WriteLease(leaseName(self.ID), own.encode()); err != nil {
+		d.renewFailures.Add(1)
+		d.log("detector: renewing lease: %v", err)
+	}
+	return ring
+}
+
+// readLease reads and decodes one peer's lease. Only a failed store
+// read is an error: a record that does not decode (lease writes are not
+// fsynced, so a power cut can tear one) or names another node is
+// counted and treated as no lease, and the peer ages as usual.
 func (d *Detector) readLease(id string) (lease, bool, error) {
 	data, ok, err := d.coord.fence.ReadLease(leaseName(id))
 	if err != nil || !ok {
-		return lease{}, ok, err
+		return lease{}, false, err
 	}
 	rec, err := decodeLease(data)
 	if err == nil && rec.node.ID != id {
 		err = fmt.Errorf("cluster: lease %q names node %q", leaseName(id), rec.node.ID)
 	}
-	return rec, err == nil, err
+	if err != nil {
+		d.readFailures.Add(1)
+		d.log("detector: %s's lease is unusable: %v", id, err)
+		return lease{}, false, nil
+	}
+	return rec, true, nil
 }
 
 // observe records a peer's renewal counter read at now. A counter that
@@ -447,19 +485,6 @@ func (d *Detector) observe(id string, counter uint64, now time.Time) {
 		}
 	}
 	ph.counter, ph.seen = counter, true
-}
-
-// isInitiator reports whether id is the smallest alive member ID (self
-// counts as alive).
-func (d *Detector) isInitiator(id string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for pid, ph := range d.peers {
-		if ph.state == PeerAlive && pid < id {
-			return false
-		}
-	}
-	return true
 }
 
 // fireEvicted invokes OnEvicted exactly once.
@@ -496,7 +521,8 @@ type PeerStatus struct {
 	Node  Node
 	State string
 	// SinceRenewalMs is how long ago this node last saw the peer's
-	// lease counter change (or registered the peer), on its own clock.
+	// lease counter change (or registered the peer, or read the store
+	// again after failing to), on its own clock.
 	SinceRenewalMs int64
 }
 

@@ -149,6 +149,15 @@ func TestDetectorFailoverAtDeadAfter(t *testing.T) {
 	if _, ok := h.co.Ring().Node("n2"); ok {
 		t.Fatal("n2 still a ring member after takeover")
 	}
+	// The takeover tick publishes the new ring in this node's lease at
+	// once, not a tick later.
+	data, ok, err := h.shared.ReadLease(leaseName("n1"))
+	if err != nil || !ok {
+		t.Fatalf("n1's lease: ok=%v err=%v", ok, err)
+	}
+	if own, err := decodeLease(data); err != nil || own.epoch != 2 || !slices.Equal(own.members, []string{"n1", "n3"}) {
+		t.Fatalf("n1's lease after the takeover: %+v, %v; want epoch 2 over n1 n3", own, err)
+	}
 
 	// The peer table prunes departed members at the next sync, and the
 	// takeover is not repeated.
@@ -310,9 +319,10 @@ func TestDetectorRecovery(t *testing.T) {
 
 // TestDetectorBlindObserverDeclaresNobodyDead: while this node's store
 // handle is cut, its ticks are no evidence — however long it stays
-// blind, nobody is suspected or taken over. Once it sees again, a peer
-// that renewed meanwhile is alive, and one whose counter never moved
-// is dead at once: the counter stood still the whole time.
+// blind, nobody is suspected or taken over. Once it sees again, every
+// peer's grace period restarts: a peer that renews stays alive, and
+// one whose counter never moves is dead DeadAfter after the first
+// clean read, not at once.
 func TestDetectorBlindObserverDeclaresNobodyDead(t *testing.T) {
 	h := newDetectorHarness(t, "n1", []string{"n1", "n2", "n3"}, DetectorConfig{})
 	h.renew(t, "n2", "n3")
@@ -339,14 +349,131 @@ func TestDetectorBlindObserverDeclaresNobodyDead(t *testing.T) {
 
 	h.handle.Heal()
 	h.step(t, h.pol.Interval, "n2")
-	if s := h.state(t, "n2"); s != "alive" {
-		t.Fatalf("n2 renewed through the cut: %s, want alive", s)
+	healed := h.clock.Now()
+	if s2, s3 := h.state(t, "n2"), h.state(t, "n3"); s2 != "alive" || s3 != "alive" {
+		t.Fatalf("first clean read: n2 %s, n3 %s; want both alive", s2, s3)
 	}
+	for h.clock.Now().Sub(healed) < h.pol.DeadAfter-h.pol.Interval {
+		h.step(t, h.pol.Interval, "n2")
+	}
+	h.step(t, healed.Add(h.pol.DeadAfter-time.Millisecond).Sub(h.clock.Now()), "n2")
+	if s, e := h.state(t, "n3"), h.co.Epoch(); s != "suspect" || e != 1 {
+		t.Fatalf("a millisecond before DeadAfter from healing: n3 %s at epoch %d, want suspect at 1", s, e)
+	}
+	h.step(t, time.Millisecond, "n2")
 	if e := h.co.Epoch(); e != 2 {
-		t.Fatalf("epoch after healing: %d, want 2 (n3 taken over)", e)
+		t.Fatalf("epoch DeadAfter after healing: %d, want 2 (n3 taken over)", e)
 	}
 	if _, ok := h.co.Ring().Node("n3"); ok {
-		t.Fatal("n3 still a member after healing")
+		t.Fatal("n3 still a member DeadAfter after healing")
+	}
+	if s := h.state(t, "n2"); s != "alive" {
+		t.Fatalf("n2 renewed throughout: %s, want alive", s)
+	}
+}
+
+// TestDetectorStoreOutageKillsNobody: the shared store is down for
+// every node for far longer than DeadAfter, so nobody can renew. When
+// it comes back, whichever node ticks first reads every peer's lease
+// still at its pre-outage counter — which is no evidence, since the
+// outage stopped every renewal. Whatever order the nodes tick in once
+// it heals, nobody is suspected, taken over or evicted.
+func TestDetectorStoreOutageKillsNobody(t *testing.T) {
+	ids := []string{"n1", "n2", "n3"}
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		var name string
+		for _, i := range order {
+			name += ids[i]
+		}
+		t.Run(name, func(t *testing.T) {
+			shared := fleet.NewMemStore()
+			clock := faults.NewClock(time.Unix(1_000_000, 0))
+			evictions := 0
+			var nodes []*detectorHarness
+			for _, id := range ids {
+				nodes = append(nodes, newDetectorHarnessOn(t, shared, clock, id, ids, DetectorConfig{
+					OnEvicted: func(uint64) { evictions++ },
+				}))
+			}
+			round := func(order []int) {
+				clock.Advance(nodes[0].pol.Interval)
+				for _, i := range order {
+					nodes[i].det.Tick()
+				}
+			}
+			// Before the outage the nodes tick in ID order, so the last of
+			// them has read every other's final renewal.
+			for i := 0; i < 3; i++ {
+				round([]int{0, 1, 2})
+			}
+			for _, h := range nodes {
+				h.handle.Cut()
+			}
+			for clock.Now().Sub(time.Unix(1_000_000, 0)) < 3*nodes[0].pol.DeadAfter {
+				round([]int{0, 1, 2})
+			}
+			for _, h := range nodes {
+				h.handle.Heal()
+			}
+			for i := 0; i < 20; i++ {
+				round(order)
+			}
+			for i, h := range nodes {
+				c, st := h.det.Counters(), h.co.Status()
+				if c.Suspicions != 0 || c.Deaths != 0 || c.Failovers != 0 || st.TakeoversDone != 0 || st.Epoch != 1 || st.Degraded {
+					t.Fatalf("%s after the outage: %+v, epoch %d, takeovers %d, degraded %v", ids[i], c, st.Epoch, st.TakeoversDone, st.Degraded)
+				}
+			}
+			if evictions != 0 {
+				t.Fatalf("%d evictions after the outage", evictions)
+			}
+		})
+	}
+}
+
+// TestDetectorUnusableLeaseAges: a peer's lease that does not decode —
+// torn by a power cut, since lease writes are not fsynced — or that
+// names another node, is no renewal, not observer blindness. The peer
+// ages as if it had stopped renewing and is taken over DeadAfter after
+// its counter last changed; the observer keeps judging everyone else.
+func TestDetectorUnusableLeaseAges(t *testing.T) {
+	good := lease{node: Node{ID: "n2", Addr: "127.0.0.1:1"}, epoch: 1, members: []string{"n1", "n2", "n3"}, counter: 99}.encode()
+	foreign := lease{node: Node{ID: "n3", Addr: "127.0.0.1:1"}, epoch: 1, members: []string{"n1", "n2", "n3"}, counter: 99}.encode()
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated", good[:len(good)/2]},
+		{"empty", nil},
+		{"foreign", foreign},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newDetectorHarness(t, "n1", []string{"n1", "n2", "n3"}, DetectorConfig{})
+			h.renew(t, "n2", "n3")
+			h.det.Tick()
+			h.step(t, h.pol.Interval, "n2", "n3")
+			lastChange := h.clock.Now()
+			if err := h.shared.WriteLease(leaseName("n2"), tc.data); err != nil {
+				t.Fatal(err)
+			}
+			h.step(t, h.pol.DeadAfter-time.Millisecond, "n3")
+			if s, e := h.state(t, "n2"), h.co.Epoch(); s != "suspect" || e != 1 {
+				t.Fatalf("a millisecond before DeadAfter: n2 %s at epoch %d, want suspect at 1", s, e)
+			}
+			h.step(t, time.Millisecond, "n3")
+			if got := h.clock.Now().Sub(lastChange); got != h.pol.DeadAfter {
+				t.Fatalf("test stepped to %v after the last change, want DeadAfter", got)
+			}
+			if e := h.co.Epoch(); e != 2 {
+				t.Fatalf("epoch at DeadAfter: %d, want 2 (n2 taken over)", e)
+			}
+			if _, ok := h.co.Ring().Node("n2"); ok {
+				t.Fatal("n2 still a member at DeadAfter")
+			}
+			if c := h.det.Counters(); c.ReadFailures != 2 || c.Failovers != 1 {
+				t.Fatalf("counters: %+v, want 2 read failures and 1 failover", c)
+			}
+		})
 	}
 }
 
@@ -392,7 +519,8 @@ func TestDetectorStoreOpsPerTick(t *testing.T) {
 
 // TestLeaseRecordRoundTrip pins the lease layout and the reader's
 // checks: a record decodes to what was encoded, and one that is
-// truncated, or stored under another node's name, is a read failure.
+// truncated, or stored under another node's name, is counted as a read
+// failure and read as no lease, not as a failed store read.
 func TestLeaseRecordRoundTrip(t *testing.T) {
 	in := lease{node: Node{ID: "n2", Addr: "10.0.0.2:9127"}, epoch: 9, members: []string{"n1", "n2"}, counter: 1234}
 	out, err := decodeLease(in.encode())
@@ -417,7 +545,10 @@ func TestLeaseRecordRoundTrip(t *testing.T) {
 	if err := h.shared.WriteLease(leaseName("n3"), enc); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h.det.readLease("n3"); err == nil {
-		t.Fatal("n2's record read as n3's lease")
+	if _, ok, err := h.det.readLease("n3"); ok || err != nil {
+		t.Fatalf("n2's record read as n3's lease: ok=%v err=%v, want no lease and no error", ok, err)
+	}
+	if c := h.det.Counters(); c.ReadFailures != 1 {
+		t.Fatalf("read failures: %d, want 1", c.ReadFailures)
 	}
 }
