@@ -28,6 +28,7 @@ import (
 	"phasekit/internal/server"
 	"phasekit/internal/signature"
 	"phasekit/internal/trace"
+	"phasekit/internal/uarch"
 	"phasekit/internal/wal"
 	"phasekit/internal/wire"
 	"phasekit/internal/workload"
@@ -285,6 +286,70 @@ func BenchmarkRestoreInto(b *testing.B) {
 	tr, cfg := stateBenchTracker()
 	snap := tr.Snapshot()
 	shell := phasekit.NewTracker("bench", cfg)
+	if err := core.RestoreInto(shell, snap); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := core.RestoreInto(shell, snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// churnSink feeds a generated workload's events straight into a
+// tracker.
+type churnSink struct{ tr *phasekit.Tracker }
+
+func (s churnSink) Event(ev uarch.BlockEvent, cycles uint64) {
+	s.tr.Cycles(cycles)
+	s.tr.Branch(ev.BranchPC, ev.Instrs)
+}
+
+func (churnSink) EndInterval(int) {}
+
+// churnBenchTracker builds a tracker the size of a classify-churn
+// stream's: gcc/1's corpus as perfbench generates it (96 intervals of
+// its phase script at scale 0.25, about 635k events) tracked at
+// 100k-instruction intervals, which leaves a snapshot of about 20 KB
+// holding some 320 phases. stateBenchTracker's payload is about 7x
+// cheaper to restore, so it understates the eviction round trip.
+func churnBenchTracker(b *testing.B) (*phasekit.Tracker, phasekit.Config) {
+	cfg := phasekit.DefaultConfig()
+	cfg.IntervalInstrs = 100_000
+	tr := phasekit.NewTracker("churn", cfg)
+	spec, err := workload.Get("gcc/1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := workload.Stream(spec, workload.Options{Scale: 0.25, MaxIntervals: 96}, churnSink{tr}); err != nil {
+		b.Fatal(err)
+	}
+	return tr, cfg
+}
+
+// BenchmarkSnapshotChurn measures serializing a classify-churn-sized
+// tracker into a reused buffer, the fleet's per-eviction encode.
+func BenchmarkSnapshotChurn(b *testing.B) {
+	tr, _ := churnBenchTracker(b)
+	buf := tr.Snapshot()
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = tr.AppendSnapshot(buf[:0])
+	}
+}
+
+// BenchmarkRestoreIntoChurn measures decoding a classify-churn-sized
+// snapshot in place into a warm shell, the fleet's per-rehydration
+// decode.
+func BenchmarkRestoreIntoChurn(b *testing.B) {
+	tr, cfg := churnBenchTracker(b)
+	snap := tr.Snapshot()
+	shell := phasekit.NewTracker("churn", cfg)
 	if err := core.RestoreInto(shell, snap); err != nil {
 		b.Fatal(err)
 	}

@@ -12,6 +12,10 @@ const TagClassifier = byte(0xC1)
 
 const classifierVersion = 1
 
+// entrySize is the encoded size of one signature-table entry's fixed
+// fields: eight 8-byte values.
+const entrySize = 64
+
 // Snapshot encodes the classifier's complete dynamic state: the
 // signature table (per-entry phase IDs, Min Counters, adaptive
 // thresholds, LRU/FIFO clocks, CPI feedback state, and the signature
@@ -32,16 +36,17 @@ func (c *Classifier) Snapshot(enc *state.Encoder) {
 	enc.Int(c.stats.PhaseIDsCreated)
 	enc.Int(c.stats.MatchedSameThreshold)
 	enc.U32(uint32(len(c.entries)))
+	blk := enc.Block(len(c.entries), entrySize)
 	for i := range c.entries {
-		e := &c.entries[i]
-		enc.Int(e.phaseID)
-		enc.Int(e.minCount)
-		enc.F64(e.threshold)
-		enc.U64(e.lastUse)
-		enc.U64(e.insertedAt)
-		enc.Int(e.cpiCount)
-		enc.F64(e.cpiMean)
-		enc.Int(e.devStreak)
+		e, rec := &c.entries[i], blk.Rec(i, entrySize)
+		rec.PutInt(0, e.phaseID)
+		rec.PutInt(8, e.minCount)
+		rec.PutF64(16, e.threshold)
+		rec.PutU64(24, e.lastUse)
+		rec.PutU64(32, e.insertedAt)
+		rec.PutInt(40, e.cpiCount)
+		rec.PutF64(48, e.cpiMean)
+		rec.PutInt(56, e.devStreak)
 	}
 	enc.U16s(c.sigs)
 }
@@ -79,7 +84,7 @@ func (c *Classifier) Restore(dec *state.Decoder) error {
 	}
 	// 64 bytes of fixed entry fields must remain per entry, so a corrupt
 	// count cannot drive an oversized allocation.
-	if n < 0 || n > dec.Len()/64 {
+	if n < 0 || n > dec.Len()/entrySize {
 		return fmt.Errorf("%w: classifier entry count %d", state.ErrCorrupt, n)
 	}
 	if dims < 0 || dims > 1<<20 {
@@ -94,25 +99,26 @@ func (c *Classifier) Restore(dec *state.Decoder) error {
 	if nextID < TransitionPhase+1 {
 		return fmt.Errorf("%w: classifier next phase ID %d", state.ErrCorrupt, nextID)
 	}
-	entries := state.Reuse(c.entries, n)
-	for i := 0; i < n; i++ {
-		e := entry{
-			phaseID:    dec.Int(),
-			minCount:   dec.Int(),
-			threshold:  dec.F64(),
-			lastUse:    dec.U64(),
-			insertedAt: dec.U64(),
-			cpiCount:   dec.Int(),
-			cpiMean:    dec.F64(),
-			devStreak:  dec.Int(),
+	blk, err := dec.Block(n, entrySize)
+	if err != nil {
+		return err
+	}
+	entries := state.Reuse(c.entries, n)[:n]
+	for i := range entries {
+		rec := blk.Rec(i, entrySize)
+		entries[i] = entry{
+			phaseID:    rec.Int(0),
+			minCount:   rec.Int(8),
+			threshold:  rec.F64(16),
+			lastUse:    rec.U64(24),
+			insertedAt: rec.U64(32),
+			cpiCount:   rec.Int(40),
+			cpiMean:    rec.F64(48),
+			devStreak:  rec.Int(56),
 		}
-		if id := e.phaseID; dec.Err() == nil && (id < TransitionPhase || id >= nextID) {
+		if id := entries[i].phaseID; id < TransitionPhase || id >= nextID {
 			return fmt.Errorf("%w: entry %d phase ID %d outside [%d,%d)", state.ErrCorrupt, i, id, TransitionPhase, nextID)
 		}
-		entries = append(entries, e)
-	}
-	if err := dec.Err(); err != nil {
-		return err
 	}
 	// n*dims cannot overflow: n is bounded by the payload, dims by 2^20.
 	// The slab must still fit in what remains (2 bytes per value) before

@@ -148,8 +148,9 @@ func (e *engine) snapshot(enc *state.Encoder) {
 	enc.Int(e.collect.Intervals)
 	enc.Int(e.collect.TransitionIntervals)
 	enc.U32(uint32(len(e.phases)))
+	blk := enc.Block(len(e.phases), stats.MomentsSize)
 	for i := range e.phases {
-		e.phases[i].EncodeMoments(enc)
+		e.phases[i].PutMoments(blk.Rec(i, stats.MomentsSize))
 	}
 	e.whole.EncodeMoments(enc)
 	e.collect.StableRuns.Encode(enc)
@@ -176,15 +177,17 @@ func (e *engine) restore(dec *state.Decoder) error {
 	}
 	index := dec.Int()
 	collect := Report{Intervals: dec.Int(), TransitionIntervals: dec.Int()}
-	// Each phase summary is a count, a mean and a squared-deviation sum.
-	n := dec.Count(24)
-	phases := state.Reuse(e.phases, n)
-	for i := 0; i < n; i++ {
-		var r stats.Running
-		if err := r.DecodeMoments(dec); err != nil {
+	// The per-phase summaries are one block of moments records.
+	n := dec.Count(stats.MomentsSize)
+	blk, err := dec.Block(n, stats.MomentsSize)
+	if err != nil {
+		return err
+	}
+	phases := state.Reuse(e.phases, n)[:n]
+	for i := range phases {
+		if err := phases[i].ReadMoments(blk.Rec(i, stats.MomentsSize)); err != nil {
 			return err
 		}
-		phases = append(phases, r)
 	}
 	var whole stats.Running
 	for _, err := range []error{
@@ -209,6 +212,14 @@ func (e *engine) restore(dec *state.Decoder) error {
 	}
 	if d := e.cls.SigDims(); d != 0 && d != e.cfg.Dims {
 		return fmt.Errorf("%w: classifier dimensionality %d, configuration has %d", state.ErrCorrupt, d, e.cfg.Dims)
+	}
+	// The classifier mints phase IDs in order and each is emitted, and
+	// so summarized, in the interval that mints it: the summaries cover
+	// every minted ID. A payload whose next ID runs past them is
+	// corrupt, and would make the next new phase grow the summaries to
+	// that ID, 48 bytes per skipped ID.
+	if ids := e.cls.PhaseIDs(); ids > max(len(phases)-1, 0) {
+		return fmt.Errorf("%w: classifier has minted %d phase IDs, engine summarizes %d phases", state.ErrCorrupt, ids, len(phases))
 	}
 	if err := e.np.Restore(dec); err != nil {
 		return err

@@ -5,10 +5,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
 
+	"phasekit/internal/classifier"
 	"phasekit/internal/rng"
 	"phasekit/internal/state"
 )
@@ -214,6 +216,27 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 			_ = target.Restore(data)
 			target.Branch(0x400000, 50)
 			data[i] ^= 1 << uint(i%8)
+		}
+	})
+
+	t.Run("next-id-past-summaries", func(t *testing.T) {
+		// The classifier section starts with its tag, version, dims
+		// and clock; the next phase ID follows. A larger next ID is
+		// well-formed but names IDs no summary covers: accepted, it
+		// would grow the summaries to it at the next new phase.
+		at := bytes.Index(snap, []byte{classifier.TagClassifier, 1, 16, 0, 0, 0, 0, 0, 0, 0})
+		if at < 0 {
+			t.Fatal("classifier section not found")
+		}
+		data := append([]byte(nil), snap...)
+		id := data[at+2+8+8:]
+		binary.LittleEndian.PutUint64(id, binary.LittleEndian.Uint64(id)+1)
+		if err := NewTracker("x", testConfig()).Restore(data); !errors.Is(err, state.ErrCorrupt) {
+			t.Errorf("next phase ID one past the summaries: err = %v, want ErrCorrupt", err)
+		}
+		binary.LittleEndian.PutUint64(id, 1<<40)
+		if err := RestoreInto(NewTracker("x", testConfig()), data); !errors.Is(err, state.ErrCorrupt) {
+			t.Errorf("next phase ID 2^40: err = %v, want ErrCorrupt", err)
 		}
 	})
 

@@ -20,7 +20,9 @@ type Prediction struct {
 	// Phase is the primary predicted phase ID.
 	Phase int
 	// Outcomes is the full predicted set (singleton for standard
-	// predictors; up to 4 for Last4/TopN variants), best first.
+	// predictors; up to 4 for Last4/TopN variants), best first. The
+	// slice is shared with the predictor, which never writes it after
+	// returning it (copy-on-write): callers must not write it either.
 	Outcomes []int
 	// Source identifies the producing component.
 	Source Source
@@ -173,6 +175,12 @@ type NextPhasePredictor struct {
 	table *ChangeTable
 	hist  *History
 
+	// lvOut is the last-value outcome set: the singleton holding the
+	// phase lv predicts. It is replaced, never written, when that phase
+	// changes, so Predict returns it without allocating between phase
+	// changes and a set it returned earlier stays valid.
+	lvOut []int
+
 	next   NextPhaseStats
 	change ChangeStats
 }
@@ -183,7 +191,7 @@ func NewNextPhase(cfg NextPhaseConfig) *NextPhasePredictor {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &NextPhasePredictor{cfg: cfg, lv: NewLastValue(cfg.LastValue)}
+	p := &NextPhasePredictor{cfg: cfg, lv: NewLastValue(cfg.LastValue), lvOut: []int{0}}
 	if cfg.Change != nil {
 		p.table = NewChangeTable(*cfg.Change)
 		p.hist = NewHistory(cfg.Change.Kind, cfg.Change.Depth)
@@ -211,9 +219,17 @@ func (p *NextPhasePredictor) Predict() Prediction {
 	}
 	return Prediction{
 		Phase:     lvPhase,
-		Outcomes:  []int{lvPhase},
+		Outcomes:  p.lvOut,
 		Source:    SourceLastValue,
 		Confident: lvConf,
+	}
+}
+
+// syncLastValue rebuilds lvOut if the last-value phase has changed.
+// Call it after every change to lv's current phase.
+func (p *NextPhasePredictor) syncLastValue() {
+	if phase, _ := p.lv.Predict(); p.lvOut[0] != phase {
+		p.lvOut = []int{phase}
 	}
 }
 
@@ -248,6 +264,7 @@ func (p *NextPhasePredictor) Observe(actual int) {
 	}
 
 	p.lv.Observe(actual)
+	p.syncLastValue()
 	p.hist.Observe(actual)
 }
 

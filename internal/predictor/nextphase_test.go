@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"phasekit/internal/rng"
+	"phasekit/internal/state"
 )
 
 func TestLastValueBasics(t *testing.T) {
@@ -112,6 +113,53 @@ func TestNextPhaseLastValueOnStablePhase(t *testing.T) {
 	}
 	if s.TableCorrect != 0 {
 		t.Error("pure last-value predictor used a table")
+	}
+}
+
+// TestPredictLastValueAllocFree pins DESIGN.md §8.2: between phase
+// changes an interval's Observe and Predict allocate nothing, even
+// when the prediction falls back to last value (here the change table
+// never hits on a stable phase).
+func TestPredictLastValueAllocFree(t *testing.T) {
+	for name, cfg := range map[string]NextPhaseConfig{"last value": pureLastValue(), "RLE-2 table": withTable(RLE, 2)} {
+		p := NewNextPhase(cfg)
+		feed(p, []int{1, 2, 1, 2, 3, 3})
+		allocs := testing.AllocsPerRun(100, func() {
+			p.Observe(3)
+			if pr := p.Predict(); pr.Source != SourceLastValue || len(pr.Outcomes) != 1 || pr.Outcomes[0] != 3 {
+				t.Fatalf("%s: prediction %+v, want last value {3}", name, pr)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: stable-phase interval allocates %v, want 0", name, allocs)
+		}
+	}
+}
+
+// TestPredictOutcomesNeverWritten: a last-value outcome set Predict
+// returned keeps its phase after the predictor moves on, and after a
+// Restore into the same predictor.
+func TestPredictOutcomesNeverWritten(t *testing.T) {
+	p := NewNextPhase(withTable(RLE, 2))
+	if got := p.Predict().Outcomes; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("cold prediction = %v, want [0]", got)
+	}
+	feed(p, []int{4, 4})
+	held := p.Predict().Outcomes
+	enc := state.AppendTo(nil)
+	p.Snapshot(enc)
+	feed(p, []int{5})
+	if got := p.Predict().Outcomes; len(got) != 1 || got[0] != 5 {
+		t.Fatalf("after a change to 5: prediction %v, want [5]", got)
+	}
+	if err := p.Restore(state.NewDecoder(enc.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Predict().Outcomes; len(got) != 1 || got[0] != 4 {
+		t.Fatalf("after restoring phase 4: prediction %v, want [4]", got)
+	}
+	if held[0] != 4 {
+		t.Fatalf("a held outcome set was rewritten to %v", held)
 	}
 }
 

@@ -18,6 +18,21 @@ const (
 
 const predictorVersion = 1
 
+// Encoded record sizes of the predictors' tables.
+const (
+	// pairSize is a last-value (phase, counter) pair or a history
+	// (phase, run) pair.
+	pairSize = 16
+	// wayHeaderSize is a valid change-table way's tag, LRU age and
+	// confidence, which follow its valid byte.
+	wayHeaderSize = 8 + 1 + 8
+	// outcomeSize is a Top-N (phase, count) record.
+	outcomeSize = 8 + 4
+	// lengthWaySize is a valid length-table way's tag, LRU age,
+	// committed class and last class.
+	lengthWaySize = 8 + 1 + 8 + 8
+)
+
 // Snapshot encodes the last-value predictor's state: the current phase
 // and every per-phase confidence counter, as (phase, counter) pairs in
 // the ascending phase order they are kept in, so the same state always
@@ -27,9 +42,11 @@ func (l *LastValue) Snapshot(enc *state.Encoder) {
 	enc.Bool(l.seen)
 	enc.Int(l.cur)
 	enc.U32(uint32(len(l.conf)))
-	for _, c := range l.conf {
-		enc.Int(c.phase)
-		enc.Int(c.conf)
+	blk := enc.Block(len(l.conf), pairSize)
+	for i, c := range l.conf {
+		rec := blk.Rec(i, pairSize)
+		rec.PutInt(0, c.phase)
+		rec.PutInt(8, c.conf)
 	}
 }
 
@@ -46,20 +63,18 @@ func (l *LastValue) Restore(dec *state.Decoder) error {
 	dec.Section(TagLastValue, predictorVersion)
 	seen := dec.Bool()
 	cur := dec.Int()
-	n := dec.Count(16)
-	conf := state.Reuse(l.conf, n)
-	for i := 0; i < n; i++ {
-		c := phaseConf{phase: dec.Int(), conf: dec.Int()}
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		if i > 0 && c.phase <= conf[i-1].phase {
+	n := dec.Count(pairSize)
+	blk, err := dec.Block(n, pairSize)
+	if err != nil {
+		return err
+	}
+	conf := state.Reuse(l.conf, n)[:n]
+	for i := range conf {
+		rec := blk.Rec(i, pairSize)
+		conf[i] = phaseConf{phase: rec.Int(0), conf: rec.Int(8)}
+		if i > 0 && conf[i].phase <= conf[i-1].phase {
 			return fmt.Errorf("%w: last-value confidence phases not strictly ascending", state.ErrCorrupt)
 		}
-		conf = append(conf, c)
-	}
-	if err := dec.Err(); err != nil {
-		return err
 	}
 	l.seen = seen
 	l.cur = cur
@@ -75,9 +90,11 @@ func (h *History) Snapshot(enc *state.Encoder) {
 	enc.Int(h.depth)
 	enc.Bool(h.valid)
 	enc.U32(uint32(len(h.pairs)))
-	for _, p := range h.pairs {
-		enc.Int(p.phase)
-		enc.Int(p.run)
+	blk := enc.Block(len(h.pairs), pairSize)
+	for i, p := range h.pairs {
+		rec := blk.Rec(i, pairSize)
+		rec.PutInt(0, p.phase)
+		rec.PutInt(8, p.run)
 	}
 }
 
@@ -95,18 +112,20 @@ func (h *History) Restore(dec *state.Decoder) error {
 	if kind != h.kind || depth != h.depth {
 		return fmt.Errorf("%w: history is %v-%d, receiver is %v-%d", state.ErrCorrupt, kind, depth, h.kind, h.depth)
 	}
-	if n < 0 || n > depth || n > dec.Len()/16 {
+	if n < 0 || n > depth {
 		return fmt.Errorf("%w: history pair count %d (depth %d)", state.ErrCorrupt, n, depth)
 	}
 	if valid != (n > 0) {
 		return fmt.Errorf("%w: history validity %v with %d pairs", state.ErrCorrupt, valid, n)
 	}
-	pairs := h.pairs[:0]
-	for i := 0; i < n; i++ {
-		pairs = append(pairs, runPair{phase: dec.Int(), run: dec.Int()})
-	}
-	if err := dec.Err(); err != nil {
+	blk, err := dec.Block(n, pairSize)
+	if err != nil {
 		return err
+	}
+	pairs := h.pairs[:0]
+	for i := range n {
+		rec := blk.Rec(i, pairSize)
+		pairs = append(pairs, runPair{phase: rec.Int(0), run: rec.Int(8)})
 	}
 	h.pairs = pairs
 	h.valid = valid
@@ -128,22 +147,43 @@ func (t *ChangeTable) Snapshot(enc *state.Encoder) {
 		if !e.valid {
 			continue
 		}
-		enc.U64(e.tag)
-		enc.U8(e.lru)
-		enc.Int(e.conf)
+		// A valid way's record is its header (tag, LRU age,
+		// confidence), then the tracked outcome state: the single
+		// outcome, or the Top-N outcome count with the outcomes in a
+		// block after it. Last-4 lists follow as a counted list.
 		switch t.cfg.Track {
 		case TrackSingle:
-			enc.Int(e.single)
+			rec := enc.Rec(wayHeaderSize + 8)
+			e.putHeader(rec)
+			rec.PutInt(wayHeaderSize, e.single)
 		case TrackLast4:
+			e.putHeader(enc.Rec(wayHeaderSize))
 			enc.Ints(e.last4)
 		case TrackTopN:
-			enc.U32(uint32(len(e.counts)))
-			for _, c := range e.counts {
-				enc.Int(c.phase)
-				enc.U32(c.count)
+			rec := enc.Rec(wayHeaderSize + 4)
+			e.putHeader(rec)
+			rec.PutU32(wayHeaderSize, uint32(len(e.counts)))
+			blk := enc.Block(len(e.counts), outcomeSize)
+			for j, c := range e.counts {
+				out := blk.Rec(j, outcomeSize)
+				out.PutInt(0, c.phase)
+				out.PutU32(8, c.count)
 			}
 		}
 	}
+}
+
+// putHeader writes a valid way's header: tag, LRU age and confidence.
+func (e *tableEntry) putHeader(rec state.Rec) {
+	rec.PutU64(0, e.tag)
+	rec.PutU8(8, e.lru)
+	rec.PutInt(9, e.conf)
+}
+
+// readHeader replaces e with a valid way holding only the header
+// putHeader wrote.
+func (e *tableEntry) readHeader(rec state.Rec) {
+	*e = tableEntry{valid: true, tag: rec.U64(0), lru: rec.U8(8), conf: rec.Int(9)}
 }
 
 // Restore replaces the table's ways with a decoded snapshot. The
@@ -175,33 +215,42 @@ func (t *ChangeTable) Restore(dec *state.Decoder) error {
 			continue
 		}
 		last4, counts := e.last4, e.counts
-		*e = tableEntry{valid: true, tag: dec.U64(), lru: dec.U8(), conf: dec.Int()}
 		switch t.cfg.Track {
 		case TrackSingle:
-			e.single = dec.Int()
+			rec, err := dec.Rec(wayHeaderSize + 8)
+			if err != nil {
+				return err
+			}
+			e.readHeader(rec)
+			e.single = rec.Int(wayHeaderSize)
 		case TrackLast4:
+			rec, err := dec.Rec(wayHeaderSize)
+			if err != nil {
+				return err
+			}
+			e.readHeader(rec)
 			e.last4 = dec.AppendInts(last4[:0])
 			if dec.Err() == nil && len(e.last4) > 4 {
 				return fmt.Errorf("%w: change table way %d tracks %d outcomes, max 4", state.ErrCorrupt, i, len(e.last4))
 			}
 		case TrackTopN:
-			k := int(dec.U32())
-			if dec.Err() != nil {
-				return dec.Err()
+			rec, err := dec.Rec(wayHeaderSize + 4)
+			if err != nil {
+				return err
 			}
-			if k < 0 || k > dec.Len()/12 {
-				return fmt.Errorf("%w: change table way %d outcome count %d", state.ErrCorrupt, i, k)
+			e.readHeader(rec)
+			k := int(rec.U32(wayHeaderSize))
+			blk, err := dec.Block(k, outcomeSize)
+			if err != nil {
+				return err
 			}
-			counts = state.Reuse(counts, k)
-			for j := 0; j < k; j++ {
-				c := outcomeCount{phase: dec.Int(), count: dec.U32()}
-				if dec.Err() != nil {
-					return dec.Err()
-				}
-				if j > 0 && c.phase <= counts[j-1].phase {
+			counts = state.Reuse(counts, k)[:k]
+			for j := range counts {
+				out := blk.Rec(j, outcomeSize)
+				counts[j] = outcomeCount{phase: out.Int(0), count: out.U32(8)}
+				if j > 0 && counts[j].phase <= counts[j-1].phase {
 					return fmt.Errorf("%w: change table way %d outcomes not strictly ascending", state.ErrCorrupt, i)
 				}
-				counts = append(counts, c)
 			}
 			e.counts = counts
 		}
@@ -232,6 +281,7 @@ func (p *NextPhasePredictor) Restore(dec *state.Decoder) error {
 	if err := p.lv.Restore(dec); err != nil {
 		return err
 	}
+	p.syncLastValue()
 	if err := p.hist.Restore(dec); err != nil {
 		return err
 	}
@@ -325,10 +375,11 @@ func (p *LengthPredictor) Snapshot(enc *state.Encoder) {
 		if !e.valid {
 			continue
 		}
-		enc.U64(e.tag)
-		enc.U8(e.lru)
-		enc.Int(e.class)
-		enc.Int(e.last)
+		rec := enc.Rec(lengthWaySize)
+		rec.PutU64(0, e.tag)
+		rec.PutU8(8, e.lru)
+		rec.PutInt(9, e.class)
+		rec.PutInt(17, e.last)
 	}
 	enc.Bool(p.pending.active)
 	enc.U64(p.pending.hash)
@@ -355,17 +406,18 @@ func (p *LengthPredictor) Restore(dec *state.Decoder) error {
 	}
 	for i := range p.ways {
 		e := &p.ways[i]
-		*e = lengthEntry{valid: dec.Bool()}
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		if !e.valid {
+		if !dec.Bool() {
+			*e = lengthEntry{}
+			if err := dec.Err(); err != nil {
+				return err
+			}
 			continue
 		}
-		e.tag = dec.U64()
-		e.lru = dec.U8()
-		e.class = dec.Int()
-		e.last = dec.Int()
+		rec, err := dec.Rec(lengthWaySize)
+		if err != nil {
+			return err
+		}
+		*e = lengthEntry{valid: true, tag: rec.U64(0), lru: rec.U8(8), class: rec.Int(9), last: rec.Int(17)}
 	}
 	active := dec.Bool()
 	hash := dec.U64()

@@ -34,7 +34,10 @@ func servePass(s *Server, cs *connState, wbuf, payload []byte) []byte {
 // is a one-frame pass of the staged path — DecodeFrameView into a
 // pooled buffer, stream-name interning, a one-batch TrySendRun, ack
 // encoding — at zero allocations per frame once the connection's pools
-// have warmed up.
+// have warmed up, and then the whole path with the shard's work
+// included (shardMallocsPerFrame). Every frame closes an interval on
+// a stable phase, so each boundary's next-phase prediction falls back
+// to last value.
 func TestLoneFrameZeroAlloc(t *testing.T) {
 	f := fleet.New(fleet.Config{Shards: 1, QueueDepth: eventBufs, Tracker: testTrackerConfig()})
 	defer f.Close()
@@ -69,6 +72,42 @@ func TestLoneFrameZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(eventBufs/2, frame); allocs != 0 {
 		t.Fatalf("lone-frame ingest allocates %v per frame in steady state, want 0", allocs)
 	}
+	const frames = eventBufs / 2
+	before, _ := f.Report("alloc-pin")
+	perFrame := shardMallocsPerFrame(f, frames, frame)
+	after, _ := f.Report("alloc-pin")
+	if lv := after.NextPhase.LVConfCorrect - before.NextPhase.LVConfCorrect; lv != frames || after.PhaseIDs != before.PhaseIDs {
+		t.Fatalf("%d of %d intervals were a stable phase predicted by last value", lv, frames)
+	}
+	if perFrame != 0 {
+		t.Fatalf("lone frames closing intervals allocate %.3f per frame, shard included, want 0", perFrame)
+	}
+}
+
+// shardMallocsPerFrame calls frame n times and returns the process's
+// heap allocations per call, counted over a window that closes only
+// after f.Flush has returned, so it includes the shard's work of
+// applying every measured frame, less what an idle Flush allocates.
+// testing.AllocsPerRun cannot see that work: in WAL-off mode the shard
+// applies a frame after it is acknowledged, outside the measured
+// calls, and AllocsPerRun rounds down to whole allocations per call.
+func shardMallocsPerFrame(f *fleet.Fleet, n int, frame func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func() uint64 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.Mallocs
+	}
+	f.Flush()
+	start := mallocs()
+	f.Flush()
+	idle := mallocs() - start
+	start = mallocs()
+	for range n {
+		frame()
+	}
+	f.Flush()
+	return float64(mallocs()-start-idle) / float64(n)
 }
 
 // restamp writes seq as a batch payload's stream sequence, in place

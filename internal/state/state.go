@@ -21,6 +21,15 @@
 // failure latches into the decoder's sticky error, and all subsequent
 // reads return zero values. Callers check Err (or Finish, which also
 // rejects trailing garbage) once at the end of a decode.
+//
+// Tables of fixed-width records travel as blocks: Decoder.Block checks
+// a whole run of records against the payload once and returns a view
+// of it, and Encoder.Block reserves a run's bytes to be filled in
+// place. Each record's fields are read and written at fixed offsets,
+// with no per-field check that can fail and no cursor to carry from
+// one field to the next. A block is only a way of reading and writing
+// the records: its bytes are exactly those of the same fields written
+// one at a time by the Encoder's field writers.
 package state
 
 import (
@@ -105,35 +114,101 @@ func (e *Encoder) Blob(b []byte) {
 // section encoded earlier, which the reader matches with Consume.
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
+// Block extends the payload by n records of size bytes each and
+// returns them, to be filled in place. The caller must write every
+// field of every record: the reserved bytes are not cleared first.
+func (e *Encoder) Block(n, size int) Block {
+	k, l := n*size, len(e.buf)
+	if cap(e.buf)-l < k {
+		e.buf = slices.Grow(e.buf, k)
+	}
+	e.buf = e.buf[:l+k]
+	return Block(e.buf[l:])
+}
+
+// Rec extends the payload by one size-byte record and returns it, to
+// be filled in place like a one-record Block.
+func (e *Encoder) Rec(size int) Rec { return Rec(e.Block(1, size)) }
+
+// Block is a run of fixed-width records: reserved by Encoder.Block, or
+// a view that Decoder.Block has bounds-checked as a whole.
+type Block []byte
+
+// Rec returns record i of a block of size-byte records.
+func (b Block) Rec(i, size int) Rec { return Rec(b[i*size:][:size]) }
+
+// Rec is one fixed-width record of a block. Its accessors read and
+// write a field at a byte offset within the record, little-endian as
+// the Encoder writes it; none can fail on a record of a checked block.
+type Rec []byte
+
+// U8 reads the byte at off.
+func (r Rec) U8(off int) uint8 { return r[off] }
+
+// U32 reads the uint32 at off.
+func (r Rec) U32(off int) uint32 { return binary.LittleEndian.Uint32(r[off:]) }
+
+// U64 reads the uint64 at off.
+func (r Rec) U64(off int) uint64 { return binary.LittleEndian.Uint64(r[off:]) }
+
+// Int reads the two's-complement int at off.
+func (r Rec) Int(off int) int { return int(int64(r.U64(off))) }
+
+// F64 reads the float64 at off from its IEEE-754 bits.
+func (r Rec) F64(off int) float64 { return math.Float64frombits(r.U64(off)) }
+
+// PutU8 writes v at off.
+func (r Rec) PutU8(off int, v uint8) { r[off] = v }
+
+// PutU32 writes v at off.
+func (r Rec) PutU32(off int, v uint32) { binary.LittleEndian.PutUint32(r[off:], v) }
+
+// PutU64 writes v at off.
+func (r Rec) PutU64(off int, v uint64) { binary.LittleEndian.PutUint64(r[off:], v) }
+
+// PutInt writes v at off as two's-complement uint64.
+func (r Rec) PutInt(off int, v int) { r.PutU64(off, uint64(int64(v))) }
+
+// PutF64 writes v at off as its IEEE-754 bits.
+func (r Rec) PutF64(off int, v float64) { r.PutU64(off, math.Float64bits(v)) }
+
 // U16s writes a length-prefixed []uint16.
 func (e *Encoder) U16s(v []uint16) {
 	e.U32(uint32(len(v)))
+	b := e.Block(len(v), 2)
 	for _, x := range v {
-		e.U16(x)
+		binary.LittleEndian.PutUint16(b, x)
+		b = b[2:]
 	}
 }
 
 // U64s writes a length-prefixed []uint64.
 func (e *Encoder) U64s(v []uint64) {
 	e.U32(uint32(len(v)))
+	b := e.Block(len(v), 8)
 	for _, x := range v {
-		e.U64(x)
+		binary.LittleEndian.PutUint64(b, x)
+		b = b[8:]
 	}
 }
 
 // Ints writes a length-prefixed []int.
 func (e *Encoder) Ints(v []int) {
 	e.U32(uint32(len(v)))
+	b := e.Block(len(v), 8)
 	for _, x := range v {
-		e.Int(x)
+		binary.LittleEndian.PutUint64(b, uint64(int64(x)))
+		b = b[8:]
 	}
 }
 
 // F64s writes a length-prefixed []float64.
 func (e *Encoder) F64s(v []float64) {
 	e.U32(uint32(len(v)))
+	b := e.Block(len(v), 8)
 	for _, x := range v {
-		e.F64(x)
+		binary.LittleEndian.PutUint64(b, math.Float64bits(x))
+		b = b[8:]
 	}
 }
 
@@ -175,18 +250,56 @@ func (d *Decoder) failf(format string, args ...any) {
 }
 
 // take returns the next n bytes, or nil after latching a truncation
-// error.
+// error. The failure is reported out of line (short), leaving one
+// comparison on the success path.
 func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
+	if d.err == nil && uint(n) <= uint(len(d.buf)-d.off) {
+		b := d.buf[d.off : d.off+n]
+		d.off += n
+		return b
 	}
-	if n < 0 || d.Len() < n {
-		d.failf("need %d bytes, have %d", n, d.Len())
-		return nil
+	d.short(n)
+	return nil
+}
+
+// short latches a read of n bytes that the payload cannot satisfy
+// (unless an earlier failure is already latched).
+//
+//go:noinline
+func (d *Decoder) short(n int) {
+	d.failf("need %d bytes, have %d", n, d.Len())
+}
+
+// Block checks once that the payload holds n records of size bytes
+// each and returns a view of them, advancing past the run. A run that
+// does not fit, or a negative n, latches ErrCorrupt at the run's
+// offset; after any failure Block returns the sticky error and an
+// empty block, so a corrupt count never sizes storage or reaches a
+// record read.
+func (d *Decoder) Block(n, size int) (Block, error) {
+	// Record widths are small, so k cannot overflow once n is at most a
+	// uint32 count; a larger or negative n fails that test first.
+	if k := n * size; d.err == nil && uint(n) <= math.MaxUint32 && k <= d.Len() {
+		b := d.buf[d.off : d.off+k : d.off+k]
+		d.off += k
+		return Block(b), nil
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
+	d.blockShort(n, size)
+	return nil, d.err
+}
+
+// Rec reads one size-byte record, checked like a one-record Block.
+func (d *Decoder) Rec(size int) (Rec, error) {
+	b, err := d.Block(1, size)
+	return Rec(b), err
+}
+
+// blockShort latches a run of n size-byte records that the payload
+// cannot hold.
+//
+//go:noinline
+func (d *Decoder) blockShort(n, size int) {
+	d.failf("block of %d records x %d bytes exceeds %d remaining bytes", n, size, d.Len())
 }
 
 // Section reads a component header, failing unless the tag matches and
@@ -342,12 +455,18 @@ func (d *Decoder) Bytes() []byte {
 }
 
 // AppendU16s reads a length-prefixed []uint16 and appends it to dst,
-// so a restore can decode into storage the receiver already owns.
+// so a restore can decode into storage the receiver already owns. On
+// failure dst is returned unchanged.
 func (d *Decoder) AppendU16s(dst []uint16) []uint16 {
 	n := d.count(2)
+	b, err := d.Block(n, 2)
+	if err != nil {
+		return dst
+	}
 	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, d.U16())
+	for range n {
+		dst = append(dst, binary.LittleEndian.Uint16(b))
+		b = b[2:]
 	}
 	return dst
 }
@@ -355,9 +474,14 @@ func (d *Decoder) AppendU16s(dst []uint16) []uint16 {
 // AppendU64s reads a length-prefixed []uint64 and appends it to dst.
 func (d *Decoder) AppendU64s(dst []uint64) []uint64 {
 	n := d.count(8)
+	b, err := d.Block(n, 8)
+	if err != nil {
+		return dst
+	}
 	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, d.U64())
+	for range n {
+		dst = append(dst, binary.LittleEndian.Uint64(b))
+		b = b[8:]
 	}
 	return dst
 }
@@ -365,9 +489,14 @@ func (d *Decoder) AppendU64s(dst []uint64) []uint64 {
 // AppendInts reads a length-prefixed []int and appends it to dst.
 func (d *Decoder) AppendInts(dst []int) []int {
 	n := d.count(8)
+	b, err := d.Block(n, 8)
+	if err != nil {
+		return dst
+	}
 	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, d.Int())
+	for range n {
+		dst = append(dst, int(int64(binary.LittleEndian.Uint64(b))))
+		b = b[8:]
 	}
 	return dst
 }

@@ -1,9 +1,13 @@
 package state
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
+
+	"phasekit/internal/rng"
 )
 
 // encodeSample writes one value of every codec type.
@@ -249,5 +253,136 @@ func TestReuseBoundsRetainedCapacity(t *testing.T) {
 	}
 	if got := Reuse([]int(nil), 0); got != nil {
 		t.Errorf("Reuse(nil, 0) = %v, want nil", got)
+	}
+}
+
+// TestBlockTruncationLatchesAtBlockOffset: a run of records that the
+// payload holds only part of fails as a whole, at the offset where the
+// run starts, reads nothing, and stays failed for every later read.
+func TestBlockTruncationLatchesAtBlockOffset(t *testing.T) {
+	enc := AppendTo(nil)
+	enc.U32(3)
+	for i := range 3 {
+		enc.U64(uint64(i))
+		enc.U32(uint32(i))
+	}
+	full := enc.Bytes()
+	for cut := 4; cut < len(full); cut++ {
+		dec := NewDecoder(full[:cut])
+		n := int(dec.U32())
+		blk, err := dec.Block(n, 12)
+		if !errors.Is(err, ErrCorrupt) || blk != nil {
+			t.Fatalf("cut %d: Block = %d bytes, %v; want no block and ErrCorrupt", cut, len(blk), err)
+		}
+		if !strings.Contains(err.Error(), "(offset 4)") {
+			t.Fatalf("cut %d: %v, want the failure at the block's offset 4", cut, err)
+		}
+		if dec.Len() != cut-4 {
+			t.Fatalf("cut %d: a failed block consumed %d bytes", cut, cut-4-dec.Len())
+		}
+		if _, again := dec.Block(0, 12); again != err {
+			t.Fatalf("cut %d: a later empty block returned %v, want the sticky %v", cut, again, err)
+		}
+		if got := dec.U8(); got != 0 || dec.Err() != err {
+			t.Fatalf("cut %d: read after the failure = %d, err %v", cut, got, dec.Err())
+		}
+	}
+	dec := NewDecoder(full)
+	blk, err := dec.Block(int(dec.U32()), 12)
+	if err != nil || len(blk) != 36 {
+		t.Fatalf("whole payload: Block = %d bytes, %v", len(blk), err)
+	}
+	if r := blk.Rec(2, 12); r.U64(0) != 2 || r.U32(8) != 2 {
+		t.Errorf("record 2 = (%d, %d), want (2, 2)", r.U64(0), r.U32(8))
+	}
+	if err := dec.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBlockCountNeverSizesStorage: a count larger than the payload
+// could hold fails before any storage is sized, for Block itself and
+// for every counted-slice reader built on it.
+func TestBlockCountNeverSizesStorage(t *testing.T) {
+	for _, n := range []int{-1, 2, 1 << 40, math.MaxInt / 2} {
+		dec := NewDecoder(make([]byte, 15))
+		if blk, err := dec.Block(n, 8); !errors.Is(err, ErrCorrupt) || blk != nil {
+			t.Errorf("Block(%d, 8) over 15 bytes = %d bytes, %v; want ErrCorrupt", n, len(blk), err)
+		}
+	}
+	enc := AppendTo(nil)
+	enc.U32(math.MaxUint32)
+	enc.U64(0)
+	for name, read := range map[string]func(*Decoder) int{
+		"u16s": func(d *Decoder) int { return cap(d.AppendU16s(nil)) },
+		"u64s": func(d *Decoder) int { return cap(d.AppendU64s(nil)) },
+		"ints": func(d *Decoder) int { return cap(d.AppendInts(nil)) },
+	} {
+		dec := NewDecoder(enc.Bytes())
+		if c := read(dec); c != 0 || !errors.Is(dec.Err(), ErrCorrupt) {
+			t.Errorf("%s: huge count sized %d elements, err %v", name, c, dec.Err())
+		}
+	}
+}
+
+// TestBlockMatchesFieldWriters is the differential check behind the
+// block rule: records filled in a reserved block are byte-identical to
+// the same values written field by field, and read back unchanged.
+func TestBlockMatchesFieldWriters(t *testing.T) {
+	type record struct {
+		u8  uint8
+		u32 uint32
+		u64 uint64
+		i   int
+		f   float64
+	}
+	const size = 1 + 4 + 8 + 8 + 8
+	x := rng.NewXoshiro256(0xb10c)
+	for round := range 50 {
+		recs := make([]record, round)
+		for i := range recs {
+			recs[i] = record{
+				u8: uint8(x.Uint64()), u32: uint32(x.Uint64()),
+				u64: x.Uint64(), i: int(int64(x.Uint64())), f: math.Float64frombits(x.Uint64()),
+			}
+		}
+		fields := AppendTo([]byte{0xEE})
+		for _, r := range recs {
+			fields.U8(r.u8)
+			fields.U32(r.u32)
+			fields.U64(r.u64)
+			fields.Int(r.i)
+			fields.F64(r.f)
+		}
+		// Fill a reused, dirty buffer, as the fleet does.
+		blocks := AppendTo(bytes.Repeat([]byte{0xEE}, 1+size*round)[:1])
+		blk := blocks.Block(len(recs), size)
+		for i, r := range recs {
+			rec := blk.Rec(i, size)
+			rec.PutU8(0, r.u8)
+			rec.PutU32(1, r.u32)
+			rec.PutU64(5, r.u64)
+			rec.PutInt(13, r.i)
+			rec.PutF64(21, r.f)
+		}
+		if !bytes.Equal(blocks.Bytes(), fields.Bytes()) {
+			t.Fatalf("round %d: block bytes differ from field-by-field bytes", round)
+		}
+		dec := NewDecoder(fields.Bytes()[1:])
+		got, err := dec.Block(len(recs), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range recs {
+			rec := got.Rec(i, size)
+			r := record{rec.U8(0), rec.U32(1), rec.U64(5), rec.Int(13), rec.F64(21)}
+			if math.Float64bits(r.f) != math.Float64bits(want.f) || r.u8 != want.u8 ||
+				r.u32 != want.u32 || r.u64 != want.u64 || r.i != want.i {
+				t.Fatalf("round %d record %d: read %+v, wrote %+v", round, i, r, want)
+			}
+		}
+		if err := dec.Finish(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -247,9 +247,11 @@ func AppendBatchFrame(dst []byte, b Batch) []byte {
 		e.U64(b.Cycles)
 		e.Bool(b.EndInterval)
 		e.U32(uint32(len(b.Events)))
-		for _, ev := range b.Events {
-			e.U64(ev.PC)
-			e.U32(ev.Instrs)
+		blk := e.Block(len(b.Events), eventSize)
+		for i, ev := range b.Events {
+			rec := blk.Rec(i, eventSize)
+			rec.PutU64(0, ev.PC)
+			rec.PutU32(8, ev.Instrs)
 		}
 	})
 }
@@ -337,6 +339,15 @@ func ReadFrame(r io.Reader, buf []byte, maxFrame int) ([]byte, error) {
 	return buf, nil
 }
 
+// decodeEvents fills events from a block of as many event records (PC,
+// then instruction count).
+func decodeEvents(events []trace.BranchEvent, blk state.Block) {
+	for i := range events {
+		rec := blk.Rec(i, eventSize)
+		events[i] = trace.BranchEvent{PC: rec.U64(0), Instrs: rec.U32(8)}
+	}
+}
+
 // DecodeFrame decodes one frame payload. On a malformed batch payload
 // the returned Frame still carries the stream name when it decoded
 // before the failure, so servers can attribute the offense to the
@@ -358,11 +369,9 @@ func DecodeFrame(payload []byte) (Frame, error) {
 		f.Batch.Cycles = d.U64()
 		f.Batch.EndInterval = d.Bool()
 		n := d.Count(eventSize)
-		if n > 0 && d.Err() == nil {
+		if blk, err := d.Block(n, eventSize); n > 0 && err == nil {
 			f.Batch.Events = make([]trace.BranchEvent, n)
-			for i := range f.Batch.Events {
-				f.Batch.Events[i] = trace.BranchEvent{PC: d.U64(), Instrs: d.U32()}
-			}
+			decodeEvents(f.Batch.Events, blk)
 		}
 		f.Seq = f.Batch.Seq
 	case TagFlush, TagAck:
@@ -427,14 +436,12 @@ func DecodeFrameView(payload []byte, events []trace.BranchEvent) (FrameView, err
 		f.Cycles = d.U64()
 		f.EndInterval = d.Bool()
 		n := d.Count(eventSize)
-		if n > 0 && d.Err() == nil {
+		if blk, err := d.Block(n, eventSize); n > 0 && err == nil {
 			if cap(events) < n {
 				events = make([]trace.BranchEvent, n)
 			}
 			f.Events = events[:n]
-			for i := range f.Events {
-				f.Events[i] = trace.BranchEvent{PC: d.U64(), Instrs: d.U32()}
-			}
+			decodeEvents(f.Events, blk)
 		}
 	case TagFlush, TagAck:
 		d.Section(f.Tag, ctrlVersion)
