@@ -12,6 +12,7 @@ package phasekit_test
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"net"
 	"path/filepath"
 	"strconv"
@@ -621,6 +622,144 @@ func benchServerIngest(b *testing.B, walLogs []*wal.Log) {
 		b.Fatal(err)
 	}
 	f.Close()
+}
+
+// walEventSink collects a workload's branch events.
+type walEventSink struct{ events []trace.BranchEvent }
+
+func (s *walEventSink) Event(ev uarch.BlockEvent, _ uint64) {
+	s.events = append(s.events, trace.BranchEvent{PC: ev.BranchPC, Instrs: ev.Instrs})
+}
+
+func (s *walEventSink) EndInterval(int) {}
+
+// walBenchRecords are the WAL benchmarks' records: the first two
+// 10M-instruction intervals of each of the eleven programs, cut into
+// 512-event batches as a client sends them and the server logs them.
+var walBenchRecords = sync.OnceValues(func() ([]wal.Record, error) {
+	const batchLen = 512
+	var recs []wal.Record
+	for _, name := range workload.Names() {
+		spec, err := workload.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		sink := &walEventSink{}
+		if _, err := workload.Stream(spec, workload.Options{Scale: 0.25, MaxIntervals: 2}, sink); err != nil {
+			return nil, err
+		}
+		for k := 0; (k+1)*batchLen <= len(sink.events); k++ {
+			recs = append(recs, wal.Record{Stream: name, Seq: uint64(k + 1), Cycles: 1000 * batchLen, Events: sink.events[k*batchLen : (k+1)*batchLen]})
+		}
+	}
+	return recs, nil
+})
+
+// walDirBytes is the size of every file in dir.
+func walDirBytes(b *testing.B, dir string) int64 {
+	var n int64
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			info, ierr := d.Info()
+			if ierr != nil {
+				return ierr
+			}
+			n += info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n
+}
+
+// BenchmarkWALAppend measures Log.Append on the eleven programs' event
+// batches: record encoding, framing, CRC and the buffered write-through
+// to the active segment, with a Commit (no fsync) every 32 appends. One
+// op is one record of 512 events; ns/event, and the log's bytes per
+// event, are reported too. The log is truncated, untimed, every 4096
+// records to bound its disk use.
+func BenchmarkWALAppend(b *testing.B) {
+	recs, err := walBenchRecords()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	var events, bytes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := &recs[i%len(recs)]
+		lsn, err := l.Append(rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += int64(len(rec.Events))
+		if i%32 == 31 || i == b.N-1 {
+			if err := l.Commit(lsn); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i%4096 == 4095 || i == b.N-1 {
+			b.StopTimer()
+			bytes += walDirBytes(b, dir)
+			if err := l.Truncate(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(bytes)/float64(events), "B/event")
+}
+
+// BenchmarkWALReplay measures Replay of a log holding every record of
+// walBenchRecords once: segment reads, CRC checks and record decoding
+// into fresh event slices. One op is one replay of the whole log.
+func BenchmarkWALReplay(b *testing.B) {
+	recs, err := walBenchRecords()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var events int64
+	for i := range recs {
+		if _, err := l.Append(&recs[i]); err != nil {
+			b.Fatal(err)
+		}
+		events += int64(len(recs[i].Events))
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	size := walDirBytes(b, dir)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var n int64
+		if _, err := wal.Replay(dir, func(r wal.Record) error {
+			n += int64(len(r.Events))
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if n != events {
+			b.Fatalf("replayed %d events, want %d", n, events)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*events), "ns/event")
+	b.ReportMetric(float64(size)/float64(events), "B/event")
 }
 
 // Comparison and extended-ablation benchmarks.

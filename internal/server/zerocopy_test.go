@@ -199,6 +199,9 @@ func TestLaggingShardZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2*eventBufs/burst, pass); allocs != 0 {
 		t.Fatalf("ingest behind a lagging shard allocates %v per %d-frame burst, want 0", allocs, burst)
 	}
+	if perFrame := shardMallocsPerFrame(f, 2*eventBufs/burst, pass) / burst; perFrame != 0 {
+		t.Fatalf("ingest behind a lagging shard allocates %.3f per frame, shard included, want 0", perFrame)
+	}
 	if n := cs.bufs.Load(); n > eventBufs {
 		t.Fatalf("%d event buffers circulate, cap is %d", n, eventBufs)
 	}
@@ -207,7 +210,8 @@ func TestLaggingShardZeroAlloc(t *testing.T) {
 // TestWALIngestPathZeroAlloc pins the WAL-mode path — stage, admit,
 // append, hand off to the responder, commit, encode the ACK, recycle
 // the pending record — at zero allocations per frame once the
-// connection's pools have warmed up. With one shard every pass dirties
+// connection's pools have warmed up, and then with the shard's work of
+// applying each interval-closing frame included (shardMallocsPerFrame). With one shard every pass dirties
 // a single log, which the responder commits inline; a pass dirtying
 // k > 1 shards starts k−1 commit goroutines and allocates for each.
 func TestWALIngestPathZeroAlloc(t *testing.T) {
@@ -251,6 +255,9 @@ func TestWALIngestPathZeroAlloc(t *testing.T) {
 	fillPools(s, cs, len(intervalEvents()), 1)
 	if allocs := testing.AllocsPerRun(eventBufs/2, frame); allocs != 0 {
 		t.Fatalf("WAL ingest path allocates %v per frame in steady state, want 0", allocs)
+	}
+	if perFrame := shardMallocsPerFrame(f, eventBufs/2, frame); perFrame != 0 {
+		t.Fatalf("WAL ingest path allocates %.3f per frame, shard included, want 0", perFrame)
 	}
 }
 

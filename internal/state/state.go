@@ -84,15 +84,6 @@ func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf
 // Int writes an int as two's-complement uint64.
 func (e *Encoder) Int(v int) { e.U64(uint64(int64(v))) }
 
-// Uvarint writes an unsigned LEB128 varint (1–10 bytes). Small values
-// dominate delta-encoded streams, so hot repeated fields (the WAL's
-// branch events) shrink 4–6× versus fixed-width encoding.
-func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-// Svarint writes a signed value zigzag-mapped onto a Uvarint, so small
-// magnitudes of either sign stay one byte.
-func (e *Encoder) Svarint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
-
 // F64 writes a float64 as its IEEE-754 bits.
 func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
@@ -380,34 +371,6 @@ func (d *Decoder) U64() uint64 {
 
 // Int reads a two's-complement int.
 func (d *Decoder) Int() int { return int(int64(d.U64())) }
-
-// Uvarint reads an unsigned LEB128 varint.
-func (d *Decoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.failf("truncated or overlong uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// Svarint reads a zigzag-mapped signed varint.
-func (d *Decoder) Svarint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.failf("truncated or overlong svarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
 
 // F64 reads a float64 from its IEEE-754 bits.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }

@@ -31,8 +31,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,8 +48,11 @@ import (
 // misdecoded as tracker state.
 const TagRecord = byte(0xE1)
 
-// recordVersion is the current record layout revision.
-const recordVersion = 1
+// recordVersion is the record layout revision this build writes and
+// the only one it reads. Version 1 delta-varint packed its events; no
+// reader for it remains, so a log must be drained (checkpoint, then
+// Truncate) before an upgrade across a version change.
+const recordVersion = 2
 
 // segMagic opens every segment file. The trailing newline makes a
 // head(1) of a segment self-identifying, like the wire protocol magic.
@@ -81,6 +87,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt wraps every recovery/replay integrity failure: a bad
 // magic, a CRC mismatch, or an impossible length.
 var ErrCorrupt = errors.New("wal: corrupt segment")
+
+// ErrUnsupportedVersion is returned by Replay and ReplayDirs for an
+// intact record written in a layout version this build does not read.
+// Unlike corruption it is never skipped: the record was acknowledged,
+// so replay stops rather than lose it.
+var ErrUnsupportedVersion = errors.New("wal: unsupported record version")
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
@@ -126,13 +138,16 @@ type Record struct {
 	Events      []trace.BranchEvent
 }
 
-// appendPayload encodes a record as a state-codec section. Events are
-// the bulk of every record, so they are delta-varint packed: branch
-// PCs cluster (loops revisit nearby addresses), making the zigzag
-// delta from the previous PC 1–2 bytes where a fixed u64 spends 8, and
-// per-branch instruction counts are small enough for 1-byte varints.
-// The WAL is write-bound (see EXPERIMENTS.md), so bytes saved here are
-// ingest throughput under `-wal-sync=group`.
+// appendPayload encodes a record as a state-codec section: the header
+// fields, the event count n, then the events in a control-byte layout
+// (after Lemire et al.'s Stream VByte). Each event contributes one
+// control byte, whose low nibble is the byte length (0–8) of the zigzag
+// PC delta from the previous event and whose high nibble is the byte
+// length (0–4) of its instruction count; the n control bytes are
+// followed by every value's bytes, little-endian, packed back to back.
+// Lengths are minimal (a value's top byte is nonzero, and 0 has length
+// 0), so the encoding of a record is canonical. Branch PCs cluster, so
+// most deltas take 1–2 bytes where a fixed u64 spends 8.
 func appendPayload(buf []byte, r *Record) []byte {
 	enc := state.AppendTo(buf)
 	enc.Section(TagRecord, recordVersion)
@@ -141,17 +156,48 @@ func appendPayload(buf []byte, r *Record) []byte {
 	enc.U64(r.Cycles)
 	enc.Bool(r.EndInterval)
 	enc.U32(uint32(len(r.Events)))
-	var prev uint64
-	for _, ev := range r.Events {
-		enc.Svarint(int64(ev.PC - prev))
-		enc.Uvarint(uint64(ev.Instrs))
-		prev = ev.PC
-	}
-	return enc.Bytes()
+	return appendEvents(enc.Bytes(), r.Events)
 }
 
-// decodePayload decodes one record payload.
+// appendEvents appends the control bytes and packed values of evs. A
+// first pass sizes the output exactly, so the append buffer grows only
+// by what the record needs; the second writes every value with one
+// unconditional 8-byte store, whose bytes past the value's length are
+// overwritten by the next store or lie in the 8 bytes of slack past the
+// end.
+func appendEvents(buf []byte, evs []trace.BranchEvent) []byte {
+	size := len(evs)
+	var prev uint64
+	for _, ev := range evs {
+		size += byteLen(zigzag(ev.PC-prev)) + byteLen(uint64(ev.Instrs))
+		prev = ev.PC
+	}
+	start := len(buf)
+	buf = slices.Grow(buf, size+8)
+	ctrl := buf[start : start+len(evs)]
+	data := buf[start+len(evs) : start+size+8]
+	prev = 0
+	off := 0
+	for i, ev := range evs {
+		d, v := zigzag(ev.PC-prev), uint64(ev.Instrs)
+		prev = ev.PC
+		ld, li := byteLen(d), byteLen(v)
+		ctrl[i] = byte(ld | li<<4)
+		binary.LittleEndian.PutUint64(data[off:], d)
+		off += ld
+		binary.LittleEndian.PutUint64(data[off:], v)
+		off += li
+	}
+	return buf[:start+size]
+}
+
+// decodePayload decodes one record payload. A record of another layout
+// version fails with ErrUnsupportedVersion; any other defect, including
+// a non-minimal value length, fails with ErrCorrupt.
 func decodePayload(payload []byte) (Record, error) {
+	if len(payload) >= 2 && payload[0] == TagRecord && payload[1] != recordVersion {
+		return Record{}, fmt.Errorf("%w: record version %d, this build reads only %d", ErrUnsupportedVersion, payload[1], recordVersion)
+	}
 	d := state.NewDecoder(payload)
 	d.Section(TagRecord, recordVersion)
 	var r Record
@@ -159,21 +205,101 @@ func decodePayload(payload []byte) (Record, error) {
 	r.Seq = d.U64()
 	r.Cycles = d.U64()
 	r.EndInterval = d.Bool()
-	n := d.Count(2) // min 2 bytes per delta-varint event
-	if n > 0 {
-		r.Events = make([]trace.BranchEvent, n)
-		var prev uint64
-		for i := range r.Events {
-			prev += uint64(d.Svarint())
-			r.Events[i].PC = prev
-			r.Events[i].Instrs = uint32(d.Uvarint())
-		}
-	}
+	n := d.Count(1) // one control byte per event at least
+	ctrl, _ := d.Block(n, 1)
+	data, _ := d.Block(d.Len(), 1)
 	if err := d.Finish(); err != nil {
 		return Record{}, fmt.Errorf("%w: record: %w", ErrCorrupt, err)
 	}
+	if want, ok := dataLen(ctrl); !ok || want != len(data) {
+		return Record{}, fmt.Errorf("%w: record: control bytes out of range or not describing the %d data bytes", ErrCorrupt, len(data))
+	}
+	if n > 0 {
+		r.Events = make([]trace.BranchEvent, n)
+		if !decodeEvents(r.Events, ctrl, data) {
+			return Record{}, fmt.Errorf("%w: record: event value not minimally encoded", ErrCorrupt)
+		}
+	}
 	return r, nil
 }
+
+// dataLen returns the number of value bytes the control bytes describe,
+// and false if any nibble is out of range. It reads eight control bytes
+// a word: adding 7 to each low nibble (11 to each high one) carries into
+// the byte's bit 4 exactly when the nibble exceeds 8 (4), and one
+// multiply sums the word's sixteen lengths, at most 240.
+func dataLen(ctrl []byte) (int, bool) {
+	const nibbles = 0x0F0F0F0F0F0F0F0F
+	var size, bad uint64
+	for len(ctrl) > 0 {
+		var x uint64
+		if len(ctrl) >= 8 {
+			x = binary.LittleEndian.Uint64(ctrl)
+			ctrl = ctrl[8:]
+		} else {
+			var tail [8]byte
+			copy(tail[:], ctrl)
+			x = binary.LittleEndian.Uint64(tail[:])
+			ctrl = nil
+		}
+		ld, li := x&nibbles, x>>4&nibbles
+		bad |= (ld + 0x0707070707070707) | (li + 0x0B0B0B0B0B0B0B0B)
+		size += (ld + li) * 0x0101010101010101 >> 56
+	}
+	return int(size), bad&0x1010101010101010 == 0
+}
+
+// decodeEvents decodes the events that dataLen has validated ctrl and
+// data for, and reports whether every value had its minimal length.
+// Each value is one masked 8-byte load, taken while at least 16 data
+// bytes remain; the values in the last 15 bytes or fewer are read the
+// same way from a zero-padded copy, so no load leaves its slice and no
+// byte takes a branch of its own.
+func decodeEvents(evs []trace.BranchEvent, ctrl, data []byte) bool {
+	i, off, pc, minimal := decodeRun(evs, ctrl, data, 0)
+	var pad [32]byte
+	copy(pad[:], data[off:])
+	_, _, _, padMinimal := decodeRun(evs[i:], ctrl[i:], pad[:], pc)
+	return minimal && padMinimal
+}
+
+// decodeRun decodes events from the front of data, continuing from the
+// previous event's pc, until evs is full or fewer than 16 bytes are
+// left. It returns the events decoded, the bytes read, the last pc and
+// whether every value it read had its minimal length.
+func decodeRun(evs []trace.BranchEvent, ctrl, data []byte, pc uint64) (int, int, uint64, bool) {
+	ctrl = ctrl[:len(evs)]
+	minimal := true
+	i, off := 0, 0
+	for ; i < len(evs) && off <= len(data)-16; i++ {
+		c := ctrl[i]
+		ld, li := int(c&15), int(c>>4)
+		d := binary.LittleEndian.Uint64(data[off:]) & valueMask[c&15]
+		v := binary.LittleEndian.Uint64(data[off+ld:]) & valueMask[c>>4]
+		off += ld + li
+		if d < minValue[c&15] || v < minValue[c>>4] {
+			minimal = false
+		}
+		pc += d>>1 ^ -(d & 1)
+		evs[i] = trace.BranchEvent{PC: pc, Instrs: uint32(v)}
+	}
+	return i, off, pc, minimal
+}
+
+// valueMask[k] keeps the low k bytes of a little-endian load, and
+// minValue[k] is the least value whose minimal length is k bytes.
+// Entries past 8 are never used: dataLen rejects those lengths first.
+var (
+	valueMask = [16]uint64{0, 1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<32 - 1, 1<<40 - 1, 1<<48 - 1, 1<<56 - 1, 1<<64 - 1}
+	minValue  = [16]uint64{0, 1, 1 << 8, 1 << 16, 1 << 24, 1 << 32, 1 << 40, 1 << 48, 1 << 56}
+)
+
+// byteLen is the minimal byte length of v: 0 for 0, else 1–8.
+func byteLen(v uint64) int { return (bits.Len64(v) + 7) >> 3 }
+
+// zigzag maps a two's-complement delta onto an unsigned value whose
+// byte length grows with its magnitude, for either sign.
+func zigzag(x uint64) uint64 { return x<<1 ^ uint64(int64(x)>>63) }
 
 // Hooks intercept the durability steps for fault injection (see
 // internal/faults.WAL). Nil hooks are skipped. Install before the
@@ -298,8 +424,11 @@ func listSegments(dir string) ([]uint64, error) {
 // record, and returns the clean byte length (header included) plus
 // whether the segment ended torn (truncated frame, impossible length,
 // or CRC mismatch — all three look identical from a crash mid-write).
-func scanSegment(path string, fn func(payload []byte) error) (clean int64, torn bool, records int, err error) {
-	data, err := os.ReadFile(path)
+// The file is read into *buf, which is grown as needed and reused
+// across a walk's segments; payloads passed to fn alias it.
+func scanSegment(path string, buf *[]byte, fn func(payload []byte) error) (clean int64, torn bool, records int, err error) {
+	data, err := readSegment(path, *buf)
+	*buf = data
 	if err != nil {
 		return 0, false, 0, err
 	}
@@ -332,6 +461,30 @@ func scanSegment(path string, fn func(payload []byte) error) (clean int64, torn 
 	return off, int64(len(data)) != off, records, nil
 }
 
+// readSegment reads the file at path into buf, reallocating only when
+// the file is larger than buf's capacity.
+func readSegment(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return buf[:0], err
+	}
+	if size := int(info.Size()); cap(buf) < size {
+		buf = make([]byte, size)
+	} else {
+		buf = buf[:size]
+	}
+	n, err := io.ReadFull(f, buf)
+	if err == io.ErrUnexpectedEOF {
+		err = nil // the file shrank since Stat: scan what it holds now
+	}
+	return buf[:n], err
+}
+
 // quarantine moves a damaged segment aside, best-effort (falling back
 // to removal), mirroring the FileStore discipline: recovery must never
 // turn one bad file into a fatal error.
@@ -358,12 +511,13 @@ func (l *Log) recover() error {
 		return err
 	}
 	last := uint64(0)
+	var buf []byte
 	for i, n := range segs {
 		if n > last {
 			last = n
 		}
 		path := segPath(l.dir, n)
-		clean, torn, records, err := scanSegment(path, nil)
+		clean, torn, records, err := scanSegment(path, &buf, nil)
 		if err != nil {
 			l.stats.Quarantined++
 			l.quarantine(path)
@@ -675,7 +829,9 @@ func (l *Log) Close() error {
 // cleanly (those records were never acked durable); a corrupt non-tail
 // segment is skipped and counted, never modified — the caller may not
 // own the directory (WAL-tail takeover reads the dead node's log in
-// place).
+// place). A record of an unsupported version stops the walk with
+// ErrUnsupportedVersion. Records counts every record delivered to fn,
+// including those a segment delivered before it failed.
 func Replay(dir string, fn func(Record) error) (RecoveryStats, error) {
 	var stats RecoveryStats
 	segs, err := listSegments(dir)
@@ -685,15 +841,17 @@ func Replay(dir string, fn func(Record) error) (RecoveryStats, error) {
 		}
 		return stats, err
 	}
+	var buf []byte
 	for _, n := range segs {
 		path := segPath(dir, n)
-		_, torn, records, err := scanSegment(path, func(payload []byte) error {
+		_, torn, records, err := scanSegment(path, &buf, func(payload []byte) error {
 			rec, err := decodePayload(payload)
 			if err != nil {
 				return err
 			}
 			return fn(rec)
 		})
+		stats.Records += records
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) {
 				stats.Quarantined++
@@ -702,7 +860,6 @@ func Replay(dir string, fn func(Record) error) (RecoveryStats, error) {
 			return stats, err
 		}
 		stats.Segments++
-		stats.Records += records
 		if torn {
 			stats.TornBytes++
 		}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"phasekit/internal/rng"
 	"phasekit/internal/trace"
 )
 
@@ -379,6 +380,68 @@ func TestAppendBufferBoundedDuringSync(t *testing.T) {
 				t.Fatalf("record %d event %d: got %+v, want %+v", i, j, got[i].Events[j], w.Events[j])
 			}
 		}
+	}
+}
+
+// walkRecord returns a record of n events whose PCs move as a program's
+// branches do: short hops, backward loop edges, far calls and returns
+// to a hot region, with instruction counts of 1–300.
+func walkRecord(seed uint64, n int) *Record {
+	x := rng.NewXoshiro256(seed)
+	r := &Record{Stream: "walk", Seq: seed, Cycles: 100_000}
+	pc := uint64(0x400000)
+	for i := 0; i < n; i++ {
+		switch x.Intn(4) {
+		case 0:
+			pc += uint64(x.Intn(64))
+		case 1:
+			pc -= uint64(x.Intn(4096))
+		case 2:
+			pc += uint64(x.Intn(1 << 20))
+		default:
+			pc = 0x400000 + uint64(x.Intn(1<<16))
+		}
+		r.Events = append(r.Events, trace.BranchEvent{PC: pc, Instrs: uint32(1 + x.Intn(300))})
+	}
+	return r
+}
+
+// TestAppendBufferRetainedCap pins the capacity the log keeps in its
+// append buffer under a server's steady load: 512-event records in
+// commit windows of 19 appends (what ingest-durable's group commits
+// cover), so writes go through at writeThroughBytes. The buffer then
+// holds less than writeThroughBytes plus one frame, and Append reserves
+// each record's exact size, so append's growth rule (at most a quarter
+// more, rounded to a size class) bounds what it keeps. A buffer grown
+// to twice its capacity plus the record would keep more.
+func TestAppendBufferRetainedCap(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recs := make([]*Record, 16)
+	for i := range recs {
+		recs[i] = walkRecord(uint64(i+1), 512)
+	}
+	var maxCap, maxFrame int
+	for i := 0; i < 2000; i++ {
+		before := l.wroteLSN
+		lsn, err := l.Append(recs[i%len(recs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxFrame = max(maxFrame, int(l.wroteLSN-before))
+		if i%19 == 18 {
+			if err := l.Commit(lsn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		maxCap = max(maxCap, cap(l.buf))
+	}
+	t.Logf("max cap %d, max frame %d", maxCap, maxFrame)
+	if limit := writeThroughBytes*5/4 + maxFrame; maxCap > limit {
+		t.Fatalf("append buffer kept %d bytes of capacity, want <= %d (largest frame %d)", maxCap, limit, maxFrame)
 	}
 }
 
