@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io/fs"
 	"net"
+	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -717,6 +718,67 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(float64(bytes)/float64(events), "B/event")
+}
+
+// BenchmarkWALOpen measures Open's recovery scan — every frame of every
+// segment read and CRC-checked, segments verified concurrently — and
+// Close, over the records of walBenchRecords written 16 times into 1 MiB
+// segments. One op is one Open of the whole log; ns/event is per event
+// the log holds. The empty segment each Open starts is removed, untimed.
+func BenchmarkWALOpen(b *testing.B) {
+	recs, err := walBenchRecords()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncOff, SegmentBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var events int64
+	const passes = 16
+	for pass := 0; pass < passes; pass++ {
+		for i := range recs {
+			if _, err := l.Append(&recs[i]); err != nil {
+				b.Fatal(err)
+			}
+			events += int64(len(recs[i].Events))
+		}
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(walDirBytes(b, dir))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncOff})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := l.Recovered(); st.Records != passes*len(recs) || st.Segments != len(segs) {
+			b.Fatalf("recovered %+v, want %d records in %d segments", st, passes*len(recs), len(segs))
+		}
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		now, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, path := range now[len(segs):] { // Glob sorts; numbers are zero-padded
+			if err := os.Remove(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*events), "ns/event")
 }
 
 // BenchmarkWALReplay measures Replay of a log holding every record of

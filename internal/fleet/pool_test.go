@@ -7,6 +7,7 @@ package fleet
 // pooling mechanics.
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -182,13 +183,37 @@ func TestEvictRehydrateAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cycle()
 	}
+	const rounds = 100
 	before := store.loads.Load()
-	if allocs := testing.AllocsPerRun(100, cycle); allocs > 1 {
-		t.Fatalf("evict + rehydrate round trip made %.2f allocations, want <= 1 (the stream name)", allocs)
+	allocs := mallocsPerCall(rounds, cycle)
+	t.Logf("%.3f allocations per evict + rehydrate round trip", allocs)
+	if allocs > 1 {
+		t.Fatalf("evict + rehydrate round trip made %.3f allocations, want <= 1 (the stream name)", allocs)
 	}
-	if loads := store.loads.Load() - before; loads < 100 {
-		t.Fatalf("%d rehydrations in 101 alternating batches: the round trip was not exercised", loads)
+	if loads := store.loads.Load() - before; loads < rounds {
+		t.Fatalf("%d rehydrations in %d alternating batches: the round trip was not exercised", loads, rounds)
 	}
+}
+
+// mallocsPerCall calls fn n times at GOMAXPROCS 1 and returns the
+// process's heap allocations per call as a fraction, where
+// testing.AllocsPerRun rounds down to whole allocations. The window
+// counts every goroutine's allocations, so when fn returns only after
+// the shard has handed its batch back through Recycle, which
+// applyEntry defers past all its work on the batch, the window holds
+// the shard's whole round trip. (A closing Flush would add work of its
+// own: it closes the streams' open intervals.)
+func mallocsPerCall(n int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn() // warm up at this GOMAXPROCS, as AllocsPerRun does
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	start := m.Mallocs
+	for range n {
+		fn()
+	}
+	runtime.ReadMemStats(&m)
+	return float64(m.Mallocs-start) / float64(n)
 }
 
 // countingStore counts a MemStore's loads.

@@ -211,7 +211,9 @@ func (t *ChangeTable) Restore(dec *state.Decoder) error {
 			return dec.Err()
 		}
 		if !valid {
-			*e = tableEntry{}
+			// Keep the way's outcome storage for the next stream
+			// restored into this table.
+			*e = tableEntry{last4: e.last4[:0], counts: e.counts[:0]}
 			continue
 		}
 		last4, counts := e.last4, e.counts

@@ -35,9 +35,11 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"phasekit/internal/state"
 	"phasekit/internal/trace"
@@ -420,69 +422,176 @@ func listSegments(dir string) ([]uint64, error) {
 	return segs, nil
 }
 
-// scanSegment walks one segment file, calling fn for each intact
-// record, and returns the clean byte length (header included) plus
-// whether the segment ended torn (truncated frame, impossible length,
-// or CRC mismatch — all three look identical from a crash mid-write).
-// The file is read into *buf, which is grown as needed and reused
-// across a walk's segments; payloads passed to fn alias it.
-func scanSegment(path string, buf *[]byte, fn func(payload []byte) error) (clean int64, torn bool, records int, err error) {
-	data, err := readSegment(path, *buf)
-	*buf = data
-	if err != nil {
-		return 0, false, 0, err
-	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return 0, false, 0, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
-	}
-	off := int64(len(segMagic))
-	for int64(len(data))-off >= frameHeaderSize {
-		n := binary.LittleEndian.Uint32(data[off:])
-		want := binary.LittleEndian.Uint32(data[off+4:])
-		if n == 0 || int64(n) > MaxRecordBytes {
-			return off, true, records, nil
-		}
-		end := off + frameHeaderSize + int64(n)
-		if end > int64(len(data)) {
-			return off, true, records, nil // truncated frame: torn tail
-		}
-		payload := data[off+frameHeaderSize : end]
-		if crc32.Checksum(payload, castagnoli) != want {
-			return off, true, records, nil
-		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				return off, false, records, err
-			}
-		}
-		off = end
-		records++
-	}
-	return off, int64(len(data)) != off, records, nil
+// chunkBytes is the size of the buffers segments are streamed through:
+// recovery and replay read a segment a chunk at a time, whatever its
+// size. Only a frame longer than a chunk grows a buffer, and only after
+// its length has been checked against the bytes left in the file.
+const chunkBytes = 256 << 10
+
+// frameReader streams one segment's frames through chunk buffers. Each
+// call to next returns a chunk of whole, CRC-checked frames; the front
+// of a frame that straddles the end of a chunk is carried to the front
+// of the next. A truncated frame, an impossible length and a CRC
+// mismatch all end the walk as torn — from a crash mid-write the three
+// look the same.
+type frameReader struct {
+	f       *os.File
+	left    int64  // bytes the file held at open that are not read yet
+	carry   []byte // read but not yet returned: the front of a straddling frame
+	clean   int64  // length of the intact prefix returned so far, header included
+	records int    // frames returned so far
+	torn    bool   // the segment ended in a torn frame or trailing bytes
+	done    bool   // nothing more to return
 }
 
-// readSegment reads the file at path into buf, reallocating only when
-// the file is larger than buf's capacity.
-func readSegment(path string, buf []byte) ([]byte, error) {
+// openFrames opens the segment at path and checks its magic. Only the
+// bytes the file holds now are read: a segment that grows meanwhile is
+// walked to its length at open, one that shrinks to what it still has.
+func openFrames(path string) (*frameReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return buf[:0], err
+		return nil, err
 	}
-	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return buf[:0], err
+		f.Close()
+		return nil, err
 	}
-	if size := int(info.Size()); cap(buf) < size {
-		buf = make([]byte, size)
-	} else {
-		buf = buf[:size]
+	var magic [len(segMagic)]byte
+	n, err := io.ReadFull(f, magic[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		f.Close()
+		return nil, err
 	}
-	n, err := io.ReadFull(f, buf)
-	if err == io.ErrUnexpectedEOF {
-		err = nil // the file shrank since Stat: scan what it holds now
+	if info.Size() < int64(len(segMagic)) || n < len(segMagic) || string(magic[:]) != segMagic {
+		f.Close()
+		return nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
 	}
-	return buf[:n], err
+	return &frameReader{f: f, left: info.Size() - int64(len(segMagic)), clean: int64(len(segMagic))}, nil
+}
+
+// close closes the segment file.
+func (r *frameReader) close() { r.f.Close() }
+
+// next fills buf (a chunk buffer, allocated if nil) with the carried
+// bytes and then the file's, and returns the prefix of whole frames it
+// verified, in buf's memory or in a buffer grown for a frame longer
+// than buf. The frames of the returned chunk must be consumed before
+// buf is passed to next again. After the segment's last chunk, done is
+// set and torn tells whether the walk stopped short of the file's end.
+func (r *frameReader) next(buf []byte) ([]byte, error) {
+	if cap(buf) == 0 {
+		buf = make([]byte, 0, chunkBytes)
+	}
+	buf = append(buf[:0], r.carry...)
+	r.carry = nil
+	for {
+		if room := int64(cap(buf) - len(buf)); room > 0 && r.left > 0 {
+			n, err := io.ReadFull(r.f, buf[len(buf):len(buf)+int(min(room, r.left))])
+			buf = buf[:len(buf)+n]
+			r.left -= int64(n)
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				r.left = 0 // the file shrank since open: walk what it holds now
+			} else if err != nil {
+				r.done = true
+				return buf[:0], err
+			}
+		}
+		off, need := r.frames(buf)
+		if !r.done && r.left == 0 {
+			r.done = true
+			r.torn = off != len(buf)
+		}
+		if r.done || off > 0 {
+			if !r.done {
+				r.carry = buf[off:]
+			}
+			r.clean += int64(off)
+			return buf[:off], nil
+		}
+		// The frame at the front is longer than the buffer. Grow for
+		// it only if the file still holds it: a corrupt length must not
+		// size an allocation.
+		if need > int64(len(buf))+r.left {
+			r.done, r.torn = true, true
+			return buf[:0], nil
+		}
+		grown := make([]byte, len(buf), need)
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
+// frames walks the whole frames at the front of buf and returns the
+// length they span. At a torn frame it sets done and torn; at a frame
+// that does not fit in buf it returns the frame's full length as need.
+func (r *frameReader) frames(buf []byte) (off int, need int64) {
+	for len(buf)-off >= frameHeaderSize {
+		n := binary.LittleEndian.Uint32(buf[off:])
+		want := binary.LittleEndian.Uint32(buf[off+4:])
+		if n == 0 || int64(n) > MaxRecordBytes {
+			r.done, r.torn = true, true
+			return off, 0
+		}
+		end := off + frameHeaderSize + int(n)
+		if end > len(buf) {
+			return off, int64(frameHeaderSize) + int64(n)
+		}
+		if crc32.Checksum(buf[off+frameHeaderSize:end], castagnoli) != want {
+			r.done, r.torn = true, true
+			return off, 0
+		}
+		off = end
+		r.records++
+	}
+	return off, 0
+}
+
+// segmentScan is what verifying one segment found.
+type segmentScan struct {
+	clean   int64 // intact prefix, header included
+	torn    bool
+	records int
+	err     error
+}
+
+// verifySegment streams the segment at path through buf, checking every
+// frame, and returns what it found and the buffer to reuse.
+func verifySegment(path string, buf []byte) (segmentScan, []byte) {
+	r, err := openFrames(path)
+	if err != nil {
+		return segmentScan{err: err}, buf
+	}
+	defer r.close()
+	for !r.done {
+		chunk, err := r.next(buf)
+		buf = chunk[:0]
+		if err != nil {
+			return segmentScan{err: err}, buf
+		}
+	}
+	return segmentScan{clean: r.clean, torn: r.torn, records: r.records}, buf
+}
+
+// verifySegments verifies the segments concurrently, on at most
+// GOMAXPROCS workers with one chunk buffer each, and returns their
+// scans in segment order.
+func verifySegments(dir string, segs []uint64) []segmentScan {
+	scans := make([]segmentScan, len(segs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(segs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for i := next.Add(1) - 1; i < int64(len(segs)); i = next.Add(1) - 1 {
+				scans[i], buf = verifySegment(segPath(dir, segs[i]), buf)
+			}
+		}()
+	}
+	wg.Wait()
+	return scans
 }
 
 // quarantine moves a damaged segment aside, best-effort (falling back
@@ -498,8 +607,8 @@ func (l *Log) quarantine(path string) {
 	os.Remove(path)
 }
 
-// recover scans the existing segments: corruption in a non-tail
-// segment quarantines that segment whole (its records may already be
+// recover verifies the existing segments concurrently, then decides in
+// segment order: corruption in a non-tail segment quarantines that segment whole (its records may already be
 // reflected in checkpoints, and replay's seq dedup absorbs the gap); a
 // torn tail on the *last* segment is the expected crash signature and
 // is truncated in place. The log then resumes appending to a fresh
@@ -511,27 +620,26 @@ func (l *Log) recover() error {
 		return err
 	}
 	last := uint64(0)
-	var buf []byte
-	for i, n := range segs {
+	for i, scan := range verifySegments(l.dir, segs) {
+		n := segs[i]
 		if n > last {
 			last = n
 		}
 		path := segPath(l.dir, n)
-		clean, torn, records, err := scanSegment(path, &buf, nil)
-		if err != nil {
+		if scan.err != nil {
 			l.stats.Quarantined++
 			l.quarantine(path)
 			continue
 		}
-		if torn {
+		if scan.torn {
 			if i == len(segs)-1 {
 				// Torn tail on the final segment: a crash mid-append.
 				// Truncate to the clean prefix so replay and future
 				// opens never see the partial frame.
 				if info, serr := os.Stat(path); serr == nil {
-					l.stats.TornBytes += info.Size() - clean
+					l.stats.TornBytes += info.Size() - scan.clean
 				}
-				if err := os.Truncate(path, clean); err != nil {
+				if err := os.Truncate(path, scan.clean); err != nil {
 					return fmt.Errorf("wal: truncating torn tail of %s: %w", filepath.Base(path), err)
 				}
 				if err := syncDir(l.dir); err != nil {
@@ -546,7 +654,7 @@ func (l *Log) recover() error {
 			}
 		}
 		l.stats.Segments++
-		l.stats.Records += records
+		l.stats.Records += scan.records
 	}
 	return l.openSegment(last + 1)
 }
@@ -824,6 +932,25 @@ func (l *Log) Close() error {
 	return err
 }
 
+// ringChunks is how many chunk buffers one replay circulates: read
+// and verified, being decoded, or decoded and waiting for fn. It bounds
+// the log in flight to ringChunks × chunkBytes raw bytes plus their
+// decoded records.
+const ringChunks = 8
+
+// replayChunk is one slot of a replay's ring: a chunk of one segment's
+// verified frames and, once a worker has decoded it, their records.
+type replayChunk struct {
+	seg     int    // the segment's index in the walk
+	buf     []byte // the slot's chunk buffer
+	data    []byte // whole verified frames, a prefix of buf
+	end     bool   // the segment's last chunk
+	torn    bool   // with end: the segment ended torn
+	err     error  // a failure to open or read the segment, or the decode failure that ends recs
+	recs    []Record
+	decoded chan struct{} // signalled once recs and err are final
+}
+
 // Replay walks a log directory read-only, in segment order, calling fn
 // for every intact record. A torn tail stops that segment's walk
 // cleanly (those records were never acked durable); a corrupt non-tail
@@ -832,6 +959,13 @@ func (l *Log) Close() error {
 // place). A record of an unsupported version stops the walk with
 // ErrUnsupportedVersion. Records counts every record delivered to fn,
 // including those a segment delivered before it failed.
+//
+// The walk is a pipeline: one goroutine streams and verifies the
+// segments a chunk at a time, GOMAXPROCS workers decode whole chunks,
+// and the caller's goroutine calls fn strictly in log order. Chunks
+// circulate through a ring of ringChunks buffers. No record after a
+// segment's first failing one reaches fn, and every goroutine and file
+// of the walk is gone when Replay returns, early stops included.
 func Replay(dir string, fn func(Record) error) (RecoveryStats, error) {
 	var stats RecoveryStats
 	segs, err := listSegments(dir)
@@ -841,30 +975,145 @@ func Replay(dir string, fn func(Record) error) (RecoveryStats, error) {
 		}
 		return stats, err
 	}
-	var buf []byte
-	for _, n := range segs {
-		path := segPath(dir, n)
-		_, torn, records, err := scanSegment(path, &buf, func(payload []byte) error {
-			rec, err := decodePayload(payload)
-			if err != nil {
-				return err
+	// Every channel holds at most each slot of the ring once, so none
+	// of their sends blocks.
+	free := make(chan *replayChunk, ringChunks)
+	work := make(chan *replayChunk, ringChunks)
+	order := make(chan *replayChunk, ringChunks)
+	for range ringChunks {
+		free <- &replayChunk{decoded: make(chan struct{}, 1)}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		readChunks(dir, segs, free, work, order, stop)
+	}()
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range work {
+				select {
+				case <-stop: // the walk ended early: the records are unwanted
+				default:
+					if c.err == nil {
+						c.recs, c.err = decodeFrames(c.recs, c.data)
+					}
+				}
+				c.decoded <- struct{}{}
 			}
-			return fn(rec)
-		})
-		stats.Records += records
-		if err != nil {
-			if errors.Is(err, ErrCorrupt) {
-				stats.Quarantined++
-				continue
+		}()
+	}
+
+	skip := -1 // a segment that failed: the rest of its chunks are dropped
+	for c := range order {
+		<-c.decoded
+		seg, end, torn, err := c.seg, c.end, c.torn, c.err
+		if seg != skip {
+			for i := range c.recs {
+				if ferr := fn(c.recs[i]); ferr != nil {
+					err = ferr
+					break
+				}
+				stats.Records++
 			}
-			return stats, err
 		}
-		stats.Segments++
-		if torn {
-			stats.TornBytes++
+		c.release(free)
+		switch {
+		case seg == skip:
+		case err == nil:
+			if end {
+				stats.Segments++
+				if torn {
+					stats.TornBytes++
+				}
+			}
+		case errors.Is(err, ErrCorrupt):
+			stats.Quarantined++
+			skip = seg
+		default:
+			return stats, err
 		}
 	}
 	return stats, nil
+}
+
+// release empties c, dropping its records and any buffer grown past a
+// chunk, and returns it to the free ring.
+func (c *replayChunk) release(free chan<- *replayChunk) {
+	clear(c.recs)
+	c.recs = c.recs[:0]
+	c.data, c.err, c.end, c.torn = nil, nil, false, false
+	if cap(c.buf) > chunkBytes {
+		c.buf = nil
+	}
+	free <- c
+}
+
+// readChunks streams the segments' verified chunks, in order, into free
+// slots, and hands each slot to the workers and to the caller's ordered
+// queue. Every segment ends with a slot marked end. It stops after a
+// segment it cannot open or read, and as soon as stop closes.
+func readChunks(dir string, segs []uint64, free <-chan *replayChunk, work, order chan<- *replayChunk, stop <-chan struct{}) {
+	defer close(order)
+	defer close(work)
+	var r *frameReader
+	defer func() {
+		if r != nil {
+			r.close()
+		}
+	}()
+	for i, n := range segs {
+		var err error
+		r, err = openFrames(segPath(dir, n))
+		for done := false; !done; {
+			var c *replayChunk
+			select {
+			case c = <-free:
+			case <-stop:
+				return
+			}
+			c.seg = i
+			if err == nil {
+				c.data, err = r.next(c.buf)
+				c.buf = c.data[:0]
+			}
+			c.err = err
+			done = err != nil || r.done
+			c.end, c.torn = done, err == nil && r.torn
+			work <- c
+			order <- c
+		}
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			return
+		}
+		if r != nil {
+			r.close()
+			r = nil
+		}
+	}
+}
+
+// decodeFrames appends the records of data's frames, which a
+// frameReader has verified whole, to recs, stopping at the first that
+// does not decode.
+func decodeFrames(recs []Record, data []byte) ([]Record, error) {
+	for off := 0; off < len(data); {
+		end := off + frameHeaderSize + int(binary.LittleEndian.Uint32(data[off:]))
+		rec, err := decodePayload(data[off+frameHeaderSize : end])
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+		off = end
+	}
+	return recs, nil
 }
 
 // ReplayDirs replays every per-shard subdirectory of root, in sorted
