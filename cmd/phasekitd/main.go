@@ -92,7 +92,7 @@ func main() {
 		suspectTO  = flag.Duration("suspect-after", 0, "how long a peer's lease may stand still before it is suspect (0 = 3x heartbeat interval)")
 		deadTO     = flag.Duration("dead-after", 0, "how long a peer's lease may stand still before it is taken over (0 = 2x suspect-after)")
 		walDir     = flag.String("wal-dir", "", "write-ahead log root; batches are ACKed only after their WAL append is durable, and the log is replayed over the last checkpoints at startup (empty = no WAL)")
-		walSync    = flag.String("wal-sync", "group", "WAL durability: always (fsync per append), group (one fsync per commit window), off (disable the WAL entirely; ACK on enqueue as without -wal-dir)")
+		walSync    = flag.String("wal-sync", "group", "WAL durability: group (ACK after the fsync of its commit window), off (disable the WAL entirely; ACK on enqueue as without -wal-dir)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "phasekitd: ", log.LstdFlags|log.Lmsgprefix)
@@ -143,10 +143,8 @@ func main() {
 		// fsync"): ACK-on-enqueue, no log files, today's ingest path.
 	case "group":
 		walMode, walOn = wal.SyncGroup, *walDir != ""
-	case "always":
-		walMode, walOn = wal.SyncAlways, *walDir != ""
 	default:
-		logger.Fatalf("-wal-sync must be always, group, or off, got %q", *walSync)
+		logger.Fatalf("-wal-sync must be group or off, got %q", *walSync)
 	}
 	if *storeDir != "" {
 		// In cluster mode a shared state dir legitimately holds other

@@ -112,9 +112,6 @@ const (
 	// that arrives while an fsync runs is covered together by the next
 	// one. The default durable mode.
 	SyncGroup
-	// SyncAlways fsyncs inline on every Commit — maximal durability,
-	// one fsync per acked frame.
-	SyncAlways
 )
 
 func (m SyncMode) String() string {
@@ -123,8 +120,6 @@ func (m SyncMode) String() string {
 		return "off"
 	case SyncGroup:
 		return "group"
-	case SyncAlways:
-		return "always"
 	}
 	return fmt.Sprintf("SyncMode(%d)", int(m))
 }
@@ -800,7 +795,6 @@ func (l *Log) syncLocked() error {
 // configured sync mode:
 //
 //   - SyncOff: writes the buffer to the OS and returns (no fsync).
-//   - SyncAlways: writes out and fsyncs inline.
 //   - SyncGroup: joins the in-flight group fsync, or runs one itself.
 //     Every committer whose record was written out before the fsync is
 //     covered by it; later arrivals form the next window.
@@ -821,20 +815,6 @@ func (l *Log) Commit(lsn LSN) error {
 			return nil
 		case l.syncedLSN >= lsn:
 			return nil
-		case l.mode == SyncAlways:
-			if err := l.writeOutLocked(); err == nil {
-				err = l.syncLocked()
-			} else {
-				l.err = err
-			}
-			if l.err == nil && l.syncedLSN < lsn {
-				// Unreachable: everything appended before Commit is
-				// written out above. Guard against looping anyway.
-				l.err = fmt.Errorf("wal: commit at %d stalled below %d", l.syncedLSN, lsn)
-			}
-			if l.err != nil {
-				return l.err
-			}
 		case !l.flushing:
 			// No fsync in flight: this committer flushes the window.
 			// The lock is released around the fsync so appenders keep

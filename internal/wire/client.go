@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"phasekit/internal/trace"
@@ -38,14 +39,18 @@ func (e *NackError) Unwrap() error { return e.Err }
 const maxRedirectHops = 4
 
 // inflight is one frame awaiting its response. frame is non-nil only
-// in redirect-following mode: the raw encoded bytes are retained so a
-// REDIRECT nack can re-send them to the owner verbatim (with the seq
-// patched in place) instead of asking the caller to replay.
+// when the client follows redirects or has a reconnect policy: the raw
+// encoded bytes are retained so a REDIRECT nack or a redial can re-send
+// them verbatim (with the seq patched in place) instead of asking the
+// caller to replay. tag is the request's: only a TagBatch frame is ever
+// re-homed to another node. A JOIN's ASSIGN answer is stored in ring.
 type inflight struct {
 	seq    uint64
 	stream string
 	frame  []byte
 	hops   uint8
+	tag    uint8
+	ring   *RingInfo
 }
 
 // seqOffset is where the seq field sits in a raw frame: 4 length bytes,
@@ -78,12 +83,13 @@ func (rt *router) retain(frame []byte) []byte {
 	return append(buf, frame...)
 }
 
-// Client speaks the ingest protocol over one connection. SendBatch and
-// Flush are synchronous (one frame in flight); QueueBatch pipelines up
-// to Window frames before blocking on the oldest response. A Client is
-// not safe for concurrent use. Frames go down the wire in call order
-// either way, so per-stream batch ordering follows call order,
-// matching the Fleet's Send contract.
+// Client speaks the ingest protocol over one connection. Every frame
+// rides one pipeline: QueueBatch keeps up to Window frames awaiting
+// responses before blocking on the oldest, and SendBatch, Flush,
+// SendJoin and SendAssign queue their frame and then Drain. A Client is
+// not safe for concurrent use. Frames go down the wire in call order,
+// so per-stream batch ordering follows call order, matching the
+// Fleet's Send contract.
 //
 // Against a cluster, call FollowRedirects once after dialing any node:
 // REDIRECT nacks are then handled inside the client — the refused
@@ -303,89 +309,36 @@ func (c *Client) deadline() error {
 	return c.conn.SetDeadline(time.Now().Add(c.Timeout))
 }
 
-// roundTripFrame writes the frame staged in wbuf and returns the
-// response frame. A Nack response is returned as *NackError. With a
-// reconnect policy, one transport failure is recovered by redialing
-// (which replays any pipelined frames) and re-sending wbuf.
-func (c *Client) roundTripFrame() (Frame, error) {
-	fr, err := c.tryRoundTripFrame()
-	if err != nil && recoverable(err) && c.Reconnect.MaxAttempts > 0 {
-		if rerr := c.recoverConn(err); rerr != nil {
-			return Frame{}, rerr
-		}
-		return c.tryRoundTripFrame()
+// keepNack records err in *first when it is a *NackError (the first
+// one wins) and returns nil; any other error is returned as is. A nack
+// refuses one frame and the pipeline keeps working, so delivery goes
+// on and the first refusal is reported at the end.
+func keepNack(first *error, err error) error {
+	if err == nil {
+		return nil
 	}
-	return fr, err
-}
-
-func (c *Client) tryRoundTripFrame() (Frame, error) {
-	if err := c.deadline(); err != nil {
-		return Frame{}, err
-	}
-	if _, err := c.bw.Write(c.wbuf); err != nil {
-		return Frame{}, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return Frame{}, err
-	}
-	payload, err := ReadFrame(c.br, c.rbuf, c.maxFrame)
-	if err != nil {
-		if err == io.EOF {
-			return Frame{}, io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
-	}
-	c.rbuf = payload[:0]
-	fr, err := DecodeFrame(payload)
-	if err != nil {
-		return Frame{}, err
-	}
-	if fr.Tag == TagNack {
-		return fr, &NackError{Seq: fr.Seq, Code: fr.Code, Detail: fr.Detail}
-	}
-	return fr, nil
-}
-
-// roundTrip writes the frame staged in wbuf and waits for the matching
-// Ack or Nack.
-func (c *Client) roundTrip(seq uint64) error {
-	fr, err := c.roundTripFrame()
-	if err != nil {
+	var ne *NackError
+	if !errors.As(err, &ne) {
 		return err
 	}
-	if fr.Tag != TagAck {
-		return fmt.Errorf("wire: unexpected response tag %#02x", fr.Tag)
-	}
-	if fr.Seq != seq {
-		return fmt.Errorf("wire: ack for frame %d, want %d", fr.Seq, seq)
+	if *first == nil {
+		*first = err
 	}
 	return nil
 }
 
-// SendBatch sends one batch and waits for the server's Ack (draining
-// any pipelined frames first). A Nack is returned as *NackError.
+// SendBatch drains every frame queued before it, then queues one batch
+// and drains again: the error is the batch's own verdict. A Nack is
+// returned as *NackError; an earlier frame's Nack is returned without
+// sending the batch.
 func (c *Client) SendBatch(stream string, cycles uint64, events []trace.BranchEvent, endInterval bool) error {
-	if c.rt != nil {
-		if err := c.QueueBatch(stream, cycles, events, endInterval); err != nil {
-			return err
-		}
-		return c.Drain()
+	if err := c.Drain(); err != nil {
+		return err
 	}
-	if len(c.pending) > 0 {
-		if err := c.Drain(); err != nil {
-			return err
-		}
+	if err := c.QueueBatch(stream, cycles, events, endInterval); err != nil {
+		return err
 	}
-	c.seq++
-	c.wbuf = AppendBatchFrame(c.wbuf[:0], Batch{
-		Seq:         c.seq,
-		StreamSeq:   c.nextStreamSeq(stream),
-		Stream:      stream,
-		Cycles:      cycles,
-		EndInterval: endInterval,
-		Events:      events,
-	})
-	return c.roundTrip(c.seq)
+	return c.Drain()
 }
 
 // QueueBatch stages one batch into the pipeline without waiting for
@@ -401,192 +354,139 @@ func (c *Client) SendBatch(stream string, cycles uint64, events []trace.BranchEv
 // owner connection, and a REDIRECT verdict for an earlier frame is
 // handled internally (re-queued on the owner) instead of surfacing.
 func (c *Client) QueueBatch(stream string, cycles uint64, events []trace.BranchEvent, endInterval bool) error {
-	var stallNack error
+	var first error
 	if c.rt != nil && len(c.rt.stalled) > 0 {
 		// Frames from a lost peer are waiting to be re-homed. Deliver
 		// them before queueing anything new, or a new batch could
 		// overtake an older one for the same stream.
-		if err := c.rt.settle(c.rt.all[0]); err != nil {
-			var ne *NackError
-			if !errors.As(err, &ne) {
-				return err
-			}
-			stallNack = err
+		if err := keepNack(&first, c.Drain()); err != nil {
+			return err
 		}
 	}
 	t, err := c.target(stream)
 	if err != nil {
 		return err
 	}
-	if err := t.queueBatch(stream, cycles, events, endInterval); err != nil {
-		return err
-	}
-	return stallNack
-}
-
-// queueBatch stages a batch on this connection specifically.
-func (c *Client) queueBatch(stream string, cycles uint64, events []trace.BranchEvent, endInterval bool) error {
-	if err := c.deadline(); err != nil {
-		return err
-	}
-	c.seq++
-	c.wbuf = AppendBatchFrame(c.wbuf[:0], Batch{
-		Seq:         c.seq,
+	t.wbuf = AppendBatchFrame(t.wbuf[:0], Batch{
 		StreamSeq:   c.nextStreamSeq(stream),
 		Stream:      stream,
 		Cycles:      cycles,
 		EndInterval: endInterval,
 		Events:      events,
 	})
-	inf := inflight{seq: c.seq, stream: stream}
-	if c.rt != nil || c.Reconnect.MaxAttempts > 0 {
-		// Retained before the write: a reconnect replays the pipeline
-		// from these buffers, so the copy must exist even if the write
-		// below is the call that discovers the connection is gone.
-		inf.frame = c.retainFrame()
+	if err := keepNack(&first, t.enqueue(inflight{stream: stream, tag: TagBatch})); err != nil {
+		return err
 	}
-	var firstNack error
-	if _, err := c.bw.Write(c.wbuf); err != nil {
-		// The connection died under us. Settle it (reconnecting and
-		// replaying the frames still in flight), then re-send this one.
-		nack, err := c.resend(err, inf)
-		if err != nil {
+	for len(t.pending) > max(t.Window, 1) {
+		if err := keepNack(&first, t.pump()); err != nil {
 			return err
 		}
-		if c.rt != nil && !c.rt.live(c) {
-			// Abandoned, with this frame stalled behind the rest: deliver
-			// them through the primary now.
-			if err := c.rt.settle(c.rt.all[0]); err != nil {
-				return err
-			}
-			return nack
-		}
-		firstNack = nack
-	} else {
-		c.pending = append(c.pending, inf)
 	}
-	win := c.Window
-	if win < 1 {
-		win = 1
-	}
-	for len(c.pending) > win {
-		// Push buffered frames to the server before parking in a read,
-		// or both sides could be waiting on each other.
-		if err := c.bw.Flush(); err != nil {
-			nack, rerr := c.recoverWrite(err)
-			if rerr != nil {
-				return rerr
-			}
-			if firstNack == nil {
-				firstNack = nack
-			}
-			if c.rt != nil && !c.rt.live(c) {
-				break
-			}
-			continue
-		}
-		if err := c.readResponse(); err != nil {
-			var ne *NackError
-			if !errors.As(err, &ne) {
-				return err
-			}
-			if firstNack == nil {
-				firstNack = err
-			}
-		}
-	}
-	if c.rt != nil && len(c.rt.stalled) > 0 {
-		if err := c.rt.settle(c.rt.all[0]); err != nil {
-			var ne *NackError
-			if !errors.As(err, &ne) {
-				return err
-			}
-			if firstNack == nil {
-				firstNack = err
-			}
-		}
-	}
-	return firstNack
+	return first
 }
 
-// Drain flushes queued frames and waits for every outstanding
-// response — across every connection the client has opened, when
-// redirects are being followed (a response on one connection can
-// re-queue a frame on another, so the drain loops until the whole set
-// is quiet). The first Nack (if any) is returned once the pipeline is
-// fully drained; a transport error aborts immediately.
+// Drain waits for every outstanding response — across every
+// connection the client has opened, when redirects are being followed
+// (a response on one connection can re-queue a frame on another, so
+// the drain loops until the whole set is quiet). Frames stalled by a
+// lost peer or an unreachable owner are then re-queued and drained
+// again; each round that answers none of them costs one attempt, with
+// backoff, of ReconnectPolicy.MaxAttempts. The first Nack (if any) is
+// returned once the pipeline is fully drained; a transport error aborts
+// immediately.
 func (c *Client) Drain() error {
-	if c.rt == nil {
-		return c.drainLocal()
-	}
-	var firstNack error
-	for {
-		busy := false
-		// Flush every connection first: re-queued frames buffered on a
-		// peer must reach its server before we park reading responses.
-		for _, cl := range c.rt.all {
-			if err := cl.deadline(); err != nil {
-				return err
-			}
-			if err := cl.bw.Flush(); err != nil {
-				return err
-			}
+	var first error
+	for attempt, left := 0, 0; ; {
+		self := [1]*Client{c}
+		all := self[:]
+		if c.rt != nil {
+			all = c.rt.all
 		}
-		for _, cl := range c.rt.all {
+		busy := false
+		for _, cl := range all {
 			if len(cl.pending) == 0 {
 				continue
 			}
 			busy = true
-			if err := cl.readResponse(); err != nil {
-				var ne *NackError
-				if !errors.As(err, &ne) {
-					return err
-				}
-				if firstNack == nil {
-					firstNack = err
-				}
+			if err := cl.deadline(); err != nil {
+				return err
+			}
+			if err := keepNack(&first, cl.pump()); err != nil {
+				return err
 			}
 		}
-		if !busy {
-			if len(c.rt.stalled) > 0 {
-				// Re-home frames stranded by a lost peer before
-				// declaring the pipeline drained.
-				if err := c.rt.settle(c.rt.all[0]); err != nil {
-					var ne *NackError
-					if !errors.As(err, &ne) {
-						return err
-					}
-					if firstNack == nil {
-						firstNack = err
-					}
-				}
-				continue
-			}
-			return firstNack
+		if busy {
+			continue
+		}
+		if c.rt == nil || len(c.rt.stalled) == 0 {
+			return first
+		}
+		// Nothing is in flight, so every frame not yet answered is
+		// stalled: fewer than before the last round means it answered
+		// some, and the attempt budget starts over.
+		if len(c.rt.stalled) < left {
+			attempt = 0
+		}
+		pol := c.Reconnect.withDefaults()
+		if attempt >= pol.MaxAttempts {
+			return fmt.Errorf("wire: %d stalled frames undelivered after %d attempts",
+				len(c.rt.stalled), pol.MaxAttempts)
+		}
+		if attempt > 0 {
+			c.sleep(c.backoff(pol, attempt-1))
+		}
+		attempt++
+		left = len(c.rt.stalled)
+		if err := keepNack(&first, c.rt.settle(c.rt.all[0])); err != nil {
+			return err
 		}
 	}
 }
 
-func (c *Client) drainLocal() error {
+// enqueue sends the frame staged in wbuf on this connection, behind
+// the frames already in flight. When the frame may have to be sent
+// again (the client follows redirects or has a reconnect policy) it is
+// retained first: a reconnect replays the pipeline from these copies,
+// so the copy must exist even if the write is the one that discovers
+// the connection is gone. A client with neither retains nothing.
+func (c *Client) enqueue(inf inflight) error {
+	if c.rt != nil || c.Reconnect.MaxAttempts > 0 {
+		inf.frame = c.retainFrame()
+	}
+	return c.push(inf)
+}
+
+// push stamps inf with this connection's next seq and writes it behind
+// the frames in flight. It stays in the write buffer until the next
+// pump flushes it: every read is preceded by a flush, so no read waits
+// on a frame the server was never sent. A failed write goes through
+// resend; a Nack verdict read while settling it is returned, and
+// refuses an earlier frame, not this one.
+func (c *Client) push(inf inflight) error {
+	frame := inf.frame
+	if frame == nil {
+		frame = c.wbuf
+	}
+	c.seq++
+	binary.LittleEndian.PutUint64(frame[seqOffset:], c.seq)
+	inf.seq = c.seq
 	if err := c.deadline(); err != nil {
 		return err
 	}
+	if _, err := c.bw.Write(frame); err != nil {
+		return c.resend(err, inf)
+	}
+	c.pending = append(c.pending, inf)
+	return nil
+}
+
+// pump flushes this connection's buffered frames to the server and
+// reads one response. The caller has frames in flight here.
+func (c *Client) pump() error {
 	if err := c.bw.Flush(); err != nil {
-		return err
+		return c.recoverWrite(err)
 	}
-	var firstNack error
-	for len(c.pending) > 0 {
-		if err := c.readResponse(); err != nil {
-			var ne *NackError
-			if !errors.As(err, &ne) {
-				return err
-			}
-			if firstNack == nil {
-				firstNack = err
-			}
-		}
-	}
-	return firstNack
+	return c.readResponse()
 }
 
 // recycle returns a retained frame buffer to the router's free list.
@@ -599,7 +499,7 @@ func (c *Client) recycle(inf inflight) {
 // readResponse reads one response frame and matches it against the
 // oldest in-flight frame. A transport failure under a reconnect policy
 // redials and replays the pipeline (or, for a sub-client whose peer is
-// gone for good, re-homes its frames via the router's stalled queue).
+// gone for good, abandons it and stalls its batches for Drain).
 func (c *Client) readResponse() error {
 	payload, err := ReadFrame(c.br, c.rbuf, c.maxFrame)
 	if err != nil {
@@ -624,16 +524,23 @@ func (c *Client) readResponse() error {
 		return err
 	}
 	inf := c.pending[0]
-	c.pending = c.pending[1:]
+	c.pending = slices.Delete(c.pending, 0, 1)
+	answer := uint8(TagAck)
+	if inf.tag == TagJoin {
+		answer = TagAssign
+	}
 	switch fr.Tag {
-	case TagAck:
+	case answer:
 		if fr.Seq != inf.seq {
-			return fmt.Errorf("wire: ack for frame %d, want %d", fr.Seq, inf.seq)
+			return fmt.Errorf("wire: answer for frame %d, want %d", fr.Seq, inf.seq)
+		}
+		if inf.ring != nil {
+			*inf.ring = fr.Ring
 		}
 		c.recycle(inf)
 		return nil
 	case TagNack:
-		if c.rt != nil && fr.Code == NackRedirect && fr.Seq == inf.seq && inf.frame != nil {
+		if c.rt != nil && fr.Code == NackRedirect && fr.Seq == inf.seq && inf.tag == TagBatch {
 			return c.redirect(inf, fr.Detail)
 		}
 		c.recycle(inf)
@@ -664,40 +571,23 @@ func (c *Client) redirect(inf inflight, owner string) error {
 		return nil // inside an earlier redirect's drain, which re-homes it
 	}
 	defer func() { c.held = c.held[:0] }()
-	var firstNack error
-	if c.hasPending(inf.stream) {
-		if err := c.bw.Flush(); err != nil {
+	var first error
+	for c.hasPending(inf.stream) {
+		if err := keepNack(&first, c.pump()); err != nil {
 			return err
-		}
-		for c.hasPending(inf.stream) {
-			if err := c.readResponse(); err != nil {
-				var ne *NackError
-				if !errors.As(err, &ne) {
-					return err
-				}
-				if firstNack == nil {
-					firstNack = err
-				}
-			}
 		}
 	}
 	// Indexed, not ranged: re-homing onto this same connection can read
 	// a verdict that holds one more frame.
 	for i := 0; i < len(c.held); i++ {
-		if err := c.rehome(c.held[i].inf, c.held[i].owner); err != nil {
-			var ne *NackError
-			if !errors.As(err, &ne) {
-				for _, rest := range c.held[i+1:] {
-					c.recycle(rest.inf)
-				}
-				return err
+		if err := keepNack(&first, c.rehome(c.held[i].inf, c.held[i].owner)); err != nil {
+			for _, rest := range c.held[i+1:] {
+				c.recycle(rest.inf)
 			}
-			if firstNack == nil {
-				firstNack = err
-			}
+			return err
 		}
 	}
-	return firstNack
+	return first
 }
 
 // heldRedirect is a refused frame waiting, with the owner its REDIRECT
@@ -708,8 +598,8 @@ type heldRedirect struct {
 }
 
 // rehome re-queues one redirected frame on its owner's connection, or
-// stalls it for re-delivery through the primary while the owner is
-// unreachable.
+// stalls it for Drain to re-queue while the owner is unreachable. Only
+// a re-send to a live owner costs a hop.
 func (c *Client) rehome(inf inflight, owner string) error {
 	if owner == "" || inf.hops >= maxRedirectHops {
 		c.recycle(inf)
@@ -722,73 +612,47 @@ func (c *Client) rehome(inf inflight, owner string) error {
 		if c.Reconnect.MaxAttempts > 0 {
 			// The named owner is unreachable — the usual state while the
 			// cluster is still taking over a dead node's streams. Stall
-			// the frame for synchronous re-delivery instead of failing.
+			// the frame instead of failing.
 			delete(c.rt.routes, inf.stream)
-			c.rt.stalled = append(c.rt.stalled, inf)
+			c.stall(inf)
 			return nil
 		}
 		c.recycle(inf)
 		return err
 	}
-	t.seq++
-	binary.LittleEndian.PutUint64(inf.frame[seqOffset:], t.seq)
-	inf.seq = t.seq
+	if c.Reconnect.MaxAttempts > 0 && c.rt.waitsBehind(inf, t) {
+		// An older frame of the stream is stalled, or in flight to the
+		// previous owner, which may be the node that died: the frame
+		// redirected to the next owner must not land ahead of it.
+		c.stall(inf)
+		return nil
+	}
 	inf.hops++
-	if err := t.deadline(); err != nil {
-		c.recycle(inf)
-		return err
-	}
-	nack, err := t.push(inf)
-	if err != nil {
-		c.recycle(inf)
-		return err
-	}
 	c.rt.redirects++
-	return nack
-}
-
-// push appends a re-queued frame to this connection's pipeline and
-// flushes it to the server at once: the next read may be on this
-// connection (Drain round-robins connections), and a frame parked in
-// the write buffer would deadlock that read. A failed write goes
-// through resend. A Nack verdict read while settling is returned as
-// nack; it refuses an earlier frame, not this one.
-func (c *Client) push(inf inflight) (nack, err error) {
-	_, err = c.bw.Write(inf.frame)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	if err == nil {
-		c.pending = append(c.pending, inf)
-		return nil, nil
-	}
-	if nack, err = c.resend(err, inf); err != nil || !c.rt.live(c) {
-		return nack, err
-	}
-	return nack, c.bw.Flush()
+	return t.push(inf)
 }
 
 // resend handles a write of inf that failed with cause: it settles the
 // connection (recoverWrite), then writes inf again behind the replayed
 // pipeline and appends it to pending — or, when the connection was
 // abandoned for a peer that stays down, stalls inf behind the
-// connection's other frames for re-delivery through the primary,
-// exactly as for an owner that was unreachable from the start. The
-// caller tells the two apart with router.live. Nack verdicts read while
-// settling come back as nack.
-func (c *Client) resend(cause error, inf inflight) (nack, err error) {
-	if nack, err = c.recoverWrite(cause); err != nil {
-		return nack, err
+// connection's other frames, exactly as for an owner that was
+// unreachable from the start. Nack verdicts read while settling are
+// returned.
+func (c *Client) resend(cause error, inf inflight) error {
+	var first error
+	if err := keepNack(&first, c.recoverWrite(cause)); err != nil {
+		return err
 	}
 	if c.rt != nil && !c.rt.live(c) {
-		c.rt.stalled = append(c.rt.stalled, inf)
-		return nack, nil
+		c.stall(inf)
+		return first
 	}
-	if _, err = c.bw.Write(inf.frame); err != nil {
-		return nack, err
+	if _, err := c.bw.Write(inf.frame); err != nil {
+		return err
 	}
 	c.pending = append(c.pending, inf)
-	return nack, nil
+	return first
 }
 
 // recoverWrite settles a connection whose write or flush failed with
@@ -797,37 +661,31 @@ func (c *Client) resend(cause error, inf inflight) (nack, err error) {
 // answered are not sent again, and the read path's recovery then
 // redials (replaying what the connection still carries) or, for a peer
 // that stays down, abandons it and stalls its frames. If every verdict
-// arrives intact, it redials itself. On a nil error the connection is
-// either usable again or, when following redirects, abandoned (see
-// router.live). Nack verdicts read on the way come back as nack. An
-// unrecoverable cause, or one without a reconnect policy, is returned
-// as is.
-func (c *Client) recoverWrite(cause error) (nack, err error) {
+// arrives intact, it redials itself. On a nil or Nack error the
+// connection is either usable again or, when following redirects,
+// abandoned (see router.live). An unrecoverable cause, or one without
+// a reconnect policy, is returned as is.
+func (c *Client) recoverWrite(cause error) error {
 	if !recoverable(cause) || c.Reconnect.MaxAttempts <= 0 {
-		return nil, cause
+		return cause
 	}
+	var first error
 	conn := c.conn
 	for len(c.pending) > 0 {
-		if err := c.readResponse(); err != nil {
-			var ne *NackError
-			if !errors.As(err, &ne) {
-				return nack, err
-			}
-			if nack == nil {
-				nack = err
-			}
+		if err := keepNack(&first, c.readResponse()); err != nil {
+			return err
 		}
 		if c.conn != conn || (c.rt != nil && !c.rt.live(c)) {
-			return nack, nil // redialed, or abandoned
+			return first // redialed, or abandoned
 		}
 	}
-	if rerr := c.recoverConn(cause); rerr != nil {
-		if !errors.Is(rerr, errPeerLost) {
-			return nack, rerr
+	if err := c.recoverConn(cause); err != nil {
+		if !errors.Is(err, errPeerLost) {
+			return err
 		}
 		c.abandon()
 	}
-	return nack, nil
+	return first
 }
 
 // hasPending reports whether any in-flight frame on this connection
@@ -842,83 +700,75 @@ func (c *Client) hasPending(stream string) bool {
 }
 
 // Flush asks the server to flush the fleet (force-close every stream's
-// trailing partial interval) and waits for the Ack (draining any
-// pipelined frames first). In redirect-following mode every connection
+// trailing partial interval) and waits for the Ack, draining every
+// pipelined frame first. In redirect-following mode every connection
 // the client has opened is flushed, so streams that migrated to other
-// nodes get their trailing interval closed too.
+// nodes get their trailing interval closed too; a peer that dies
+// before answering its flush is skipped, since a dead node has no
+// trailing intervals to close.
 func (c *Client) Flush() error {
+	if err := c.Drain(); err != nil {
+		return err
+	}
+	conns := []*Client{c}
 	if c.rt != nil {
-		if err := c.Drain(); err != nil {
-			return err
-		}
-		alls := append([]*Client(nil), c.rt.all...)
-		for _, cl := range alls {
-			if !c.rt.live(cl) {
-				continue
-			}
-			if err := cl.flushLocal(); err != nil {
-				if errors.Is(err, errPeerLost) {
-					// The peer died at flush time; a dead node has no
-					// trailing intervals to close. Its in-flight batches
-					// (if any) re-home through the stalled queue.
-					cl.abandon()
-					if err := c.Drain(); err != nil {
-						return err
-					}
-					continue
-				}
-				return err
-			}
-		}
-		return nil
+		conns = slices.Clone(c.rt.all)
 	}
-	return c.flushLocal()
-}
-
-func (c *Client) flushLocal() error {
-	if len(c.pending) > 0 {
-		if err := c.drainLocal(); err != nil {
+	var first error
+	for _, cl := range conns {
+		if c.rt != nil && !c.rt.live(cl) {
+			continue
+		}
+		cl.wbuf = AppendFlushFrame(cl.wbuf[:0], 0)
+		if err := keepNack(&first, cl.enqueue(inflight{tag: TagFlush})); err != nil {
 			return err
 		}
 	}
-	c.seq++
-	c.wbuf = AppendFlushFrame(c.wbuf[:0], c.seq)
-	return c.roundTrip(c.seq)
+	if err := keepNack(&first, c.Drain()); err != nil {
+		return err
+	}
+	return first
 }
 
 // SendJoin announces a node to a cluster member and returns the ring
 // assignment the member replies with (the post-join membership at its
-// new epoch).
+// new epoch). Frames queued before it are drained first; an earlier
+// frame's Nack is returned without sending the join.
 func (c *Client) SendJoin(node NodeInfo) (RingInfo, error) {
-	if len(c.pending) > 0 {
-		if err := c.Drain(); err != nil {
-			return RingInfo{}, err
-		}
-	}
-	c.seq++
-	c.wbuf = AppendJoinFrame(c.wbuf[:0], c.seq, node)
-	fr, err := c.roundTripFrame()
+	var ring RingInfo
+	err := c.request(inflight{tag: TagJoin, ring: &ring}, func(b []byte) []byte {
+		return AppendJoinFrame(b, 0, node)
+	})
 	if err != nil {
 		return RingInfo{}, err
 	}
-	if fr.Tag != TagAssign {
-		return RingInfo{}, fmt.Errorf("wire: join answered with tag %#02x", fr.Tag)
-	}
-	return fr.Ring, nil
+	return ring, nil
 }
 
 // SendAssign pushes a ring assignment to a node. The node acks when the
 // assignment is adopted (or was already current) and nacks with
-// NackStaleEpoch when it already follows a newer ring.
+// NackStaleEpoch when it already follows a newer ring. Frames queued
+// before it are drained first; an earlier frame's Nack is returned
+// without sending the assignment.
 func (c *Client) SendAssign(ring RingInfo) error {
-	if len(c.pending) > 0 {
-		if err := c.Drain(); err != nil {
-			return err
-		}
+	return c.request(inflight{tag: TagAssign}, func(b []byte) []byte {
+		return AppendAssignFrame(b, 0, ring)
+	})
+}
+
+// request drains every frame in flight, then queues the control frame
+// that appendFrame encodes on this connection and drains until it is
+// answered. With nothing else in flight, the error is the control
+// frame's own verdict.
+func (c *Client) request(inf inflight, appendFrame func([]byte) []byte) error {
+	if err := c.Drain(); err != nil {
+		return err
 	}
-	c.seq++
-	c.wbuf = AppendAssignFrame(c.wbuf[:0], c.seq, ring)
-	return c.roundTrip(c.seq)
+	c.wbuf = appendFrame(c.wbuf[:0])
+	if err := c.enqueue(inf); err != nil {
+		return err
+	}
+	return c.Drain()
 }
 
 // Close closes the connection — and, in redirect-following mode, every

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -20,7 +19,7 @@ var ErrTooManyRedirects = errors.New("wire: redirect hop budget exhausted")
 
 // errPeerLost marks a sub-client whose connection died and could not be
 // re-established within the reconnect budget. It never escapes the
-// Client: the frames are re-homed through the primary instead.
+// Client: the connection is abandoned and its batches stalled instead.
 var errPeerLost = errors.New("wire: peer connection lost")
 
 // ReconnectPolicy makes a Client survive connection loss mid-stream:
@@ -38,15 +37,27 @@ var errPeerLost = errors.New("wire: peer connection lost")
 // blips against a server that survived them.
 //
 // In redirect-following mode the policy also covers node death: when a
-// sub-client's peer stays unreachable, its in-flight frames are
-// re-homed through the primary connection in order, following fresh
-// redirects (and waiting out "owner unreachable" windows with the same
-// backoff) until the ring's new owner accepts them. Loss of the
-// primary connection itself is re-dialed but never re-homed; if the
-// primary node is the one that died, the client fails hard.
+// sub-client's peer stays unreachable, or a REDIRECT names an owner
+// that cannot be dialed, the batches concerned are stalled, and so is
+// a batch redirected while an older one of its stream is stalled or in
+// flight elsewhere. Drain re-queues them on their stream's route or on
+// the primary connection, through the same pipeline as every other
+// frame, and follows fresh redirects until the ring's new owner
+// accepts them. Only the oldest stalled frame of each stream is in
+// flight at a time, so a stream's frames land in order even when the
+// owner changes between two of them. Each round that answers none of
+// the stalled frames costs one attempt, with the same backoff; a
+// stalled frame costs a redirect hop only when it is re-sent to a live
+// owner. Flush, join and assign frames are replayed only to the
+// address they were sent to: a dead peer's are dropped, never
+// re-homed. Loss of the primary connection itself is re-dialed
+// but never re-homed; if the primary node is the one that died, the
+// client fails hard.
 type ReconnectPolicy struct {
-	// MaxAttempts is the redial (and, for re-homed frames, redelivery)
-	// budget per loss event. 0 disables reconnection.
+	// MaxAttempts is the redial budget per loss event, and the number
+	// of rounds in a row that Drain re-queues stalled frames without
+	// any being answered before it gives up with an error. 0 disables
+	// reconnection.
 	MaxAttempts int
 	// Backoff is the delay before the second attempt; it doubles per
 	// attempt and is jittered over [d/2, d]. Default 50ms.
@@ -169,7 +180,7 @@ func (c *Client) replayPending() error {
 }
 
 // abandon removes a dead sub-client from the router: its in-flight
-// frames join the stalled queue (preserving order — per-stream FIFO
+// batches join the stalled queue (preserving order — per-stream FIFO
 // holds because a stream rides exactly one connection at a time), its
 // learned routes are forgotten, and the connection is closed.
 func (c *Client) abandon() {
@@ -187,8 +198,22 @@ func (c *Client) abandon() {
 			delete(rt.routes, s)
 		}
 	}
-	rt.stalled = append(rt.stalled, c.pending...)
+	for _, inf := range c.pending {
+		c.stall(inf)
+	}
 	c.pending = nil
+}
+
+// stall parks a frame of a lost connection for Drain to re-queue. A
+// control frame (flush, join, assign) is answered only by the node it
+// was sent to, so it is dropped instead: a dead node has no trailing
+// intervals to flush.
+func (c *Client) stall(inf inflight) {
+	if inf.tag != TagBatch {
+		c.recycle(inf)
+		return
+	}
+	c.rt.stalled = append(c.rt.stalled, inf)
 }
 
 // live reports whether t is still one of the router's connections (it
@@ -197,138 +222,65 @@ func (rt *router) live(t *Client) bool {
 	return (len(rt.all) > 0 && t == rt.all[0]) || rt.peers[t.addr] == t
 }
 
-// settle delivers every stalled frame, in order, through the primary.
-// Nack verdicts are collected (first one returned, like Drain); any
-// transport-level failure that survives the budget aborts.
+// streamSeqOffset is where a raw batch frame's StreamSeq sits, right
+// after its seq.
+const streamSeqOffset = seqOffset + 8
+
+// settle re-queues the oldest stalled frame of each stream, on the
+// stream's route or, without a reachable one, on the primary; Drain
+// delivers them through the pipeline like any other frame and settles
+// again. The rest of a stream stays stalled until that frame is
+// answered: frames stall while a dead owner's streams are being taken
+// over, and the primary can redirect one frame to the dead owner,
+// finish the takeover and accept the next, which would then land ahead
+// of the first. The oldest frame is the one with the lowest StreamSeq,
+// not the first in the queue: a frame that stalls again is queued
+// behind the younger frames of its stream.
 func (rt *router) settle(primary *Client) error {
-	var firstNack error
-	for len(rt.stalled) > 0 {
-		inf := rt.stalled[0]
-		rt.stalled = rt.stalled[1:]
-		if err := rt.resolveOne(primary, inf); err != nil {
-			var ne *NackError
-			if errors.As(err, &ne) && !errors.Is(err, ErrTooManyRedirects) {
-				if firstNack == nil {
-					firstNack = err
-				}
-				continue
-			}
+	var first error
+	queued := rt.stalled
+	rt.stalled = nil
+	for _, inf := range queued {
+		if olderIn(queued, inf) {
+			rt.stalled = append(rt.stalled, inf)
+			continue
+		}
+		t, err := primary.target(inf.stream)
+		if err != nil {
+			delete(rt.routes, inf.stream)
+			t = primary
+		}
+		if err := keepNack(&first, t.push(inf)); err != nil {
 			return err
 		}
 	}
-	return firstNack
+	return first
 }
 
-// resolveOne synchronously delivers one stalled frame: resolve the
-// stream's route (falling back to the primary when none is learned or
-// the learned owner is unreachable), send, and follow the verdict.
-// Redirects to unreachable owners — the normal state while the cluster
-// is still detecting a death — cost a backoff sleep, not a hop;
-// genuine multi-node redirect chains are capped at maxRedirectHops.
-func (rt *router) resolveOne(primary *Client, inf inflight) error {
-	pol := primary.Reconnect.withDefaults()
-	hops := 0
-	last := error(nil)
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			primary.sleep(primary.backoff(pol, attempt-1))
-		}
-		t := primary
-		if addr, ok := rt.routes[inf.stream]; ok && addr != primary.addr {
-			p, err := rt.peer(addr, primary)
-			if err != nil {
-				// Owner unreachable (likely mid-takeover): forget the
-				// route and re-ask through the primary next attempt.
-				delete(rt.routes, inf.stream)
-				last = err
-				continue
-			}
-			t = p
-		}
-		fr, err := t.syncDeliver(&inf)
-		if err != nil {
-			var ne *NackError
-			switch {
-			case errors.As(err, &ne):
-				// A verdict for an older frame surfaced while draining
-				// t's pipeline; put ours back and report it.
-				rt.stalled = append([]inflight{inf}, rt.stalled...)
-				return err
-			case !recoverable(err):
-				return err
-			case t == primary:
-				if rerr := primary.recoverConn(err); rerr != nil {
-					return rerr
-				}
-				last = err
-				continue
-			default:
-				t.abandon()
-				last = err
-				continue
-			}
-		}
-		switch fr.Tag {
-		case TagAck:
-			if fr.Seq != inf.seq {
-				return fmt.Errorf("wire: ack for frame %d, want %d", fr.Seq, inf.seq)
-			}
-			primary.recycle(inf)
-			return nil
-		case TagNack:
-			if fr.Code == NackRedirect && fr.Detail != "" {
-				if t != primary {
-					hops++
-				}
-				if hops >= maxRedirectHops {
-					primary.recycle(inf)
-					return &NackError{Seq: inf.seq, Code: NackRedirect, Err: ErrTooManyRedirects,
-						Detail: fmt.Sprintf("stalled frame bounced %d hops (owner %q)", hops, fr.Detail)}
-				}
-				rt.routes[inf.stream] = fr.Detail
-				rt.redirects++
-				continue
-			}
-			primary.recycle(inf)
-			return &NackError{Seq: fr.Seq, Code: fr.Code, Detail: fr.Detail}
-		default:
-			return fmt.Errorf("wire: unexpected response tag %#02x", fr.Tag)
+// waitsBehind reports whether an older frame of inf's stream is stalled
+// or in flight on a connection other than t.
+func (rt *router) waitsBehind(inf inflight, t *Client) bool {
+	if olderIn(rt.stalled, inf) {
+		return true
+	}
+	for _, cl := range rt.all {
+		if cl != t && olderIn(cl.pending, inf) {
+			return true
 		}
 	}
-	return fmt.Errorf("wire: could not deliver frame %d (stream %q) within the reconnect budget: %v",
-		inf.seq, inf.stream, last)
+	return false
 }
 
-// syncDeliver drains t's pipeline, then sends inf alone and returns the
-// server's verdict frame. errPeerLost if t abandoned itself draining.
-func (t *Client) syncDeliver(inf *inflight) (Frame, error) {
-	if len(t.pending) > 0 {
-		if err := t.drainLocal(); err != nil {
-			return Frame{}, err
+// olderIn reports whether frames holds a batch of inf's stream with a
+// lower StreamSeq; control frames are skipped.
+func olderIn(frames []inflight, inf inflight) bool {
+	seq := binary.LittleEndian.Uint64(inf.frame[streamSeqOffset:])
+	for i := range frames {
+		f := &frames[i]
+		if f.tag == TagBatch && f.stream == inf.stream &&
+			binary.LittleEndian.Uint64(f.frame[streamSeqOffset:]) < seq {
+			return true
 		}
-		if t.rt != nil && !t.rt.live(t) {
-			return Frame{}, fmt.Errorf("%w: %s", errPeerLost, t.addr)
-		}
 	}
-	t.seq++
-	binary.LittleEndian.PutUint64(inf.frame[seqOffset:], t.seq)
-	inf.seq = t.seq
-	if err := t.deadline(); err != nil {
-		return Frame{}, err
-	}
-	if _, err := t.bw.Write(inf.frame); err != nil {
-		return Frame{}, err
-	}
-	if err := t.bw.Flush(); err != nil {
-		return Frame{}, err
-	}
-	payload, err := ReadFrame(t.br, t.rbuf, t.maxFrame)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
-	}
-	t.rbuf = payload[:0]
-	return DecodeFrame(payload)
+	return false
 }

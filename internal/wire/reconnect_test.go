@@ -25,10 +25,23 @@ type killNode struct {
 	accepted []Batch
 	seen     int
 	script   func(nth int, b Batch) killVerdict
+	// Control frames: flushAt records len(accepted) at each flush; a
+	// flush with killFlush set kills the node (listener and connection).
+	// A JOIN is answered with ring; an ASSIGN older than ring.Epoch is
+	// refused with NackStaleEpoch, a newer one is adopted.
+	flushAt   []int
+	killFlush bool
+	ring      RingInfo
+	joins     int
 }
 
+// killVerdict is a script's answer to one batch. kill cuts the
+// connection with no verdict; die acknowledges the batch, then cuts the
+// connection and closes the listener; redirect refuses it with a
+// REDIRECT naming that owner.
 type killVerdict struct {
 	kill     bool
+	die      bool
 	redirect string
 }
 
@@ -80,6 +93,7 @@ func (n *killNode) serve(conn net.Conn) {
 			return
 		}
 		out = out[:0]
+		die := false
 		switch fr.Tag {
 		case TagBatch:
 			n.mu.Lock()
@@ -90,6 +104,7 @@ func (n *killNode) serve(conn net.Conn) {
 				n.accepted = append(n.accepted, fr.Batch)
 			}
 			n.mu.Unlock()
+			die = v.die
 			switch {
 			case v.kill:
 				return // cut the connection: no verdict for this frame
@@ -99,11 +114,37 @@ func (n *killNode) serve(conn net.Conn) {
 				out = AppendAckFrame(out, fr.Seq)
 			}
 		case TagFlush:
+			n.mu.Lock()
+			n.flushAt = append(n.flushAt, len(n.accepted))
+			kill := n.killFlush
+			n.mu.Unlock()
+			if kill {
+				n.ln.Close()
+				return
+			}
 			out = AppendAckFrame(out, fr.Seq)
+		case TagJoin:
+			n.mu.Lock()
+			n.joins++
+			out = AppendAssignFrame(out, fr.Seq, n.ring)
+			n.mu.Unlock()
+		case TagAssign:
+			n.mu.Lock()
+			if fr.Ring.Epoch < n.ring.Epoch {
+				out = AppendNackFrame(out, fr.Seq, NackStaleEpoch, "stale ring")
+			} else {
+				n.ring = fr.Ring
+				out = AppendAckFrame(out, fr.Seq)
+			}
+			n.mu.Unlock()
 		default:
 			out = AppendNackFrame(out, fr.Seq, NackMalformed, "unexpected tag")
 		}
 		if _, err := conn.Write(out); err != nil {
+			return
+		}
+		if die {
+			n.ln.Close()
 			return
 		}
 	}

@@ -315,14 +315,18 @@ func ReadFrame(r io.Reader, buf []byte, maxFrame int) ([]byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var hdr [lenSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix is read into buf: a local array would escape
+	// through r and cost an allocation per frame.
+	if cap(buf) < lenSize {
+		buf = make([]byte, lenSize)
+	}
+	if _, err := io.ReadFull(r, buf[:lenSize]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
 		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf[:lenSize])
 	if int64(n) > int64(maxFrame) {
 		return nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n, maxFrame)
 	}
